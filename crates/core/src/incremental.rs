@@ -709,8 +709,9 @@ impl IncrementalRelease {
     }
 
     /// Validation shared by the single-increment and bulk paths — wrong
-    /// arity or an out-of-domain coordinate is an `Err`, never a panic.
-    fn validate_cell(&self, cell: &[usize]) -> Result<()> {
+    /// arity, an out-of-domain coordinate or a non-finite delta is an
+    /// `Err`, never a panic or a poisoned coefficient.
+    fn validate_increment(&self, cell: &[usize], delta: f64) -> Result<()> {
         let d = self.transform.ndim();
         if cell.len() != d {
             return Err(CoreError::BadQueryArity {
@@ -728,6 +729,9 @@ impl IncrementalRelease {
                 });
             }
         }
+        if !delta.is_finite() {
+            return Err(CoreError::NonFiniteDelta(delta));
+        }
         Ok(())
     }
 
@@ -739,8 +743,12 @@ impl IncrementalRelease {
     /// [`apply_increments`](Self::apply_increments) absorbs batches at
     /// the cost of the *distinct* dirty coefficients and is pinned
     /// bit-identical to a loop over this method.
+    ///
+    /// Errors (changing nothing) on a cell of the wrong arity or outside
+    /// the domain, and with [`CoreError::NonFiniteDelta`] on a NaN or
+    /// infinite `delta`.
     pub fn apply_increment(&mut self, cell: &[usize], delta: f64) -> Result<usize> {
-        self.validate_cell(cell)?;
+        self.validate_increment(cell, delta)?;
 
         // Propagate the change axis by axis. Entering axis i, every
         // pending change has coefficient coordinates on axes < i and the
@@ -786,10 +794,11 @@ impl IncrementalRelease {
     /// Absorbs a whole batch of `(cell, delta)` increments at a cost
     /// proportional to the **distinct dirty coefficients** instead of
     /// `batch × ∏ log mᵢ`: the batch is validated up front (a bad cell
-    /// rejects it before *any* state changes), duplicate cells coalesce
-    /// onto one dirty path (their `+=` deltas replay in arrival order),
-    /// and each axis walks every dirty lane's kernel state once,
-    /// recomputing each dirty coefficient exactly once.
+    /// or a non-finite delta rejects it before *any* state changes),
+    /// duplicate cells coalesce onto one dirty path (their `+=` deltas
+    /// replay in arrival order), and each axis walks every dirty lane's
+    /// kernel state once, recomputing each dirty coefficient exactly
+    /// once.
     ///
     /// The exact coefficient tensor afterwards is **bit-identical** to an
     /// [`apply_increment`](Self::apply_increment) loop over the same
@@ -797,8 +806,8 @@ impl IncrementalRelease {
     /// expression of the same final leaf states), and the returned
     /// [`IngestReport`] shows what coalescing saved.
     pub fn apply_increments(&mut self, increments: &[(Vec<usize>, f64)]) -> Result<IngestReport> {
-        for (cell, _) in increments {
-            self.validate_cell(cell)?;
+        for (cell, delta) in increments {
+            self.validate_increment(cell, *delta)?;
         }
         let in_strides = row_major_strides(&self.transform.input_dims());
         self.workspace.pending.clear();
@@ -814,7 +823,7 @@ impl IncrementalRelease {
     /// one dirty walk.
     pub fn apply_rows(&mut self, rows: &[Vec<usize>]) -> Result<IngestReport> {
         for row in rows {
-            self.validate_cell(row)?;
+            self.validate_increment(row, 1.0)?;
         }
         let in_strides = row_major_strides(&self.transform.input_dims());
         self.workspace.pending.clear();
@@ -1155,6 +1164,27 @@ mod tests {
         let hn = HnTransform::for_schema(fm.schema(), &BTreeSet::new()).unwrap();
         let dense = hn.forward(fm.matrix()).unwrap();
         assert_eq!(rel.exact_coefficients().as_slice(), dense.as_slice());
+
+        // Non-finite deltas: rejected in the same up-front pass, so the
+        // exact tensor and the ledger stay bit-unchanged.
+        rel.advance_epoch(0.25, 1).unwrap();
+        let bits = |rel: &IncrementalRelease| -> Vec<u64> {
+            rel.exact_coefficients()
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let (before, ledger) = (bits(&rel), *rel.ledger());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let batch = vec![(vec![0usize, 0, 0], 5.0), (vec![1, 2, 3], bad)];
+            match rel.apply_increments(&batch).unwrap_err() {
+                CoreError::NonFiniteDelta(d) => assert_eq!(d.to_bits(), bad.to_bits()),
+                other => panic!("wrong error for {bad}: {other:?}"),
+            }
+            assert_eq!(bits(&rel), before, "batch with {bad}");
+            assert_eq!(*rel.ledger(), ledger);
+        }
     }
 
     /// Satellite: the touch-bound product saturates instead of wrapping.
@@ -1303,10 +1333,26 @@ mod tests {
                 ..
             }
         ));
-        // A rejected increment changed nothing.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            match rel.apply_increment(&[1, 2, 3], bad).unwrap_err() {
+                CoreError::NonFiniteDelta(d) => assert_eq!(d.to_bits(), bad.to_bits()),
+                other => panic!("wrong error for {bad}: {other:?}"),
+            }
+        }
+        // A rejected increment changed nothing, bit for bit, and spent
+        // no budget.
         let hn = HnTransform::for_schema(fm.schema(), &BTreeSet::new()).unwrap();
         let dense = hn.forward(fm.matrix()).unwrap();
-        assert_eq!(rel.exact_coefficients().as_slice(), dense.as_slice());
+        for (a, b) in rel
+            .exact_coefficients()
+            .as_slice()
+            .iter()
+            .zip(dense.as_slice())
+        {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(rel.ledger().spent(), 0.0);
+        assert_eq!(rel.ledger().epochs(), 0);
     }
 
     #[test]

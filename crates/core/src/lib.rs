@@ -106,6 +106,9 @@ pub enum CoreError {
     BadDecayFactor(f64),
     /// A sliding window must retain at least one epoch.
     BadWindow(usize),
+    /// An ingest delta must be finite: a NaN or ±∞ would poison the
+    /// exact coefficients of every later epoch.
+    NonFiniteDelta(f64),
     /// A streaming release's lifetime privacy budget cannot cover the
     /// requested epoch. Raised *before* any noise is drawn, so a refused
     /// epoch never leaks a partially noised release.
@@ -156,6 +159,7 @@ impl std::fmt::Display for CoreError {
             CoreError::BadWindow(n) => {
                 write!(f, "sliding window must retain at least one epoch, got {n}")
             }
+            CoreError::NonFiniteDelta(d) => write!(f, "ingest delta must be finite, got {d}"),
             CoreError::BudgetExhausted {
                 requested,
                 remaining,

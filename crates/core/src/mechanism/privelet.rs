@@ -189,7 +189,7 @@ pub(crate) fn add_weighted_noise(
 ///
 /// Skipping the inverse transform changes the serving cost model: a
 /// range-count query intersects only O(log m) Haar coefficients per
-/// dimension (§IV–§V), so a `CoefficientAnswerer` built over this release
+/// dimension (§IV–§V), so a `ConcurrentEngine` built over this release
 /// answers queries in O(∏ polylog mᵢ) without ever materializing the
 /// m-cell matrix — the right shape when queries arrive online and m is
 /// large. [`to_matrix`](Self::to_matrix) recovers exactly what
@@ -198,7 +198,7 @@ pub(crate) fn add_weighted_noise(
 ///
 /// The stored coefficients are the raw noisy ones (no refinement);
 /// consumers that serve them directly must apply
-/// [`HnTransform::refine_coefficients`] once — `CoefficientAnswerer` does
+/// [`HnTransform::refine_coefficients`] once — `ConcurrentEngine` does
 /// this at construction.
 #[derive(Debug, Clone)]
 pub struct CoefficientOutput {

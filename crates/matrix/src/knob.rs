@@ -1,13 +1,13 @@
 //! Warn-once parsing of numeric environment knobs.
 //!
-//! Three runtime tuning knobs share the same lifecycle: read an
-//! environment variable at construction time, fall back to a compiled-in
-//! default when it is unset, and — crucially — fall back **loudly** when
-//! it is set but unparseable, so a typo'd knob can't silently revert a
-//! deployment to defaults. The parse/fallback logic used to be
-//! copy-pasted per knob (`PRIVELET_PARALLEL_MIN_CELLS` in the executor,
-//! `PRIVELET_CACHE_SHARDS` in the query cache); this module is the one
-//! shared implementation, now also serving `PRIVELET_TILE_LANES`.
+//! The runtime tuning knobs share one lifecycle: read an environment
+//! variable at construction time, fall back to a compiled-in default
+//! when it is unset, and — crucially — fall back **loudly** when it is
+//! set but unparseable, so a typo'd knob can't silently revert a
+//! deployment to defaults. This module is the one shared implementation
+//! behind the executor's `PRIVELET_PARALLEL_MIN_CELLS` and
+//! `PRIVELET_TILE_LANES` and the ingest path's
+//! `PRIVELET_BULK_LANE_CUTOVER`.
 //!
 //! The parse is a pure function of the raw string so it is unit-testable
 //! without racing on the process environment (`std::env::set_var` is a
@@ -39,7 +39,7 @@ pub fn parse_usize_knob(raw: Option<&str>, default: usize) -> (usize, bool) {
 /// once per knob name per process on stderr (`what` names the expected
 /// quantity in that message, e.g. `"a cell count"`).
 ///
-/// Numeric range constraints (e.g. "at least 1 shard") are the caller's
+/// Numeric range constraints (e.g. "at least 1 lane") are the caller's
 /// business: a parseable value is returned as-is so each knob keeps its
 /// own clamping policy.
 pub fn env_usize_knob(name: &'static str, what: &str, default: usize) -> usize {
@@ -80,7 +80,7 @@ mod tests {
     fn parseable_values_pass_through_unclamped() {
         // Clamping policy belongs to the caller; the parse must not
         // editorialize (the parallel threshold treats 0 as "always fan
-        // out" while the shard count clamps 0 to 1).
+        // out" while the tile width clamps 0 to 1).
         assert_eq!(parse_usize_knob(Some("0"), 7), (0, false));
         assert_eq!(parse_usize_knob(Some("16"), 7), (16, false));
         assert_eq!(parse_usize_knob(Some(" 4096 "), 7), (4096, false));

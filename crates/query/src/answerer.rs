@@ -3,8 +3,13 @@
 //! Building the d-dimensional prefix sums once and answering each query in
 //! O(2^d) is how the experiment harness evaluates 40 000 queries per
 //! published matrix; [`Answerer`] packages that pattern for library users.
+//! It is not a serving engine: production serving goes through
+//! [`ConcurrentEngine`](crate::ConcurrentEngine). The prefix path stays
+//! as the independent reference oracle the coefficient domain is
+//! property-tested against, and as the baseline of the evaluation
+//! harness.
 
-use crate::engine::{AnnotatedAnswer, AnswerEngine, EngineDiagnostics};
+use crate::annotated::AnnotatedAnswer;
 use crate::range_query::RangeQuery;
 use crate::{QueryError, Result};
 use privelet::transform::HnTransform;
@@ -26,7 +31,7 @@ pub struct Answerer {
     /// known. The prefix path discards the coefficient domain, so error
     /// accounting re-derives each query's per-dimension variance factors
     /// from the transform (O(polylog m) per query, uncached — this is the
-    /// offline path; the coefficient engines annotate from their caches).
+    /// offline path; the coefficient engine annotates from its cache).
     error_model: Option<(HnTransform, PrivacyMeta)>,
 }
 
@@ -61,8 +66,8 @@ impl Answerer {
     /// published under and its privacy accounting. Errors with
     /// [`QueryError::ShapeMismatch`] when the transform does not fit the
     /// answerer's schema (including a nominal transform whose hierarchy
-    /// differs structurally — the same check the coefficient engines
-    /// perform at construction).
+    /// differs structurally — the same check the coefficient engine
+    /// performs at construction).
     pub fn with_error_model(mut self, transform: HnTransform, meta: PrivacyMeta) -> Result<Self> {
         crate::plan::check_release_metadata(&self.schema, &transform)?;
         self.error_model = Some((transform, meta));
@@ -129,33 +134,6 @@ impl Answerer {
     }
 }
 
-impl AnswerEngine for Answerer {
-    fn schema(&self) -> &Schema {
-        self.schema()
-    }
-
-    fn answer_one(&self, q: &RangeQuery) -> Result<f64> {
-        self.answer(q)
-    }
-
-    fn answer_with_error(&self, q: &RangeQuery) -> Result<AnnotatedAnswer> {
-        self.answer_with_error(q)
-    }
-
-    fn answer_batch(&self, queries: &[RangeQuery]) -> Result<Vec<f64>> {
-        self.answer_all(queries)
-    }
-
-    fn diagnostics(&self) -> EngineDiagnostics {
-        EngineDiagnostics {
-            engine: "prefix-sum",
-            build_cells: self.schema.cell_count(),
-            cache: None,
-            shards: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,12 +187,12 @@ mod tests {
 
     #[test]
     fn error_model_annotates_like_the_coefficient_engine() {
-        use crate::coefficients::CoefficientAnswerer;
+        use crate::coefficients::ConcurrentEngine;
         use privelet::mechanism::{publish_coefficients, PriveletConfig};
 
         let fm = FrequencyMatrix::from_table(&medical_example()).unwrap();
         let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 61)).unwrap();
-        let coeff = CoefficientAnswerer::from_output(&release).unwrap();
+        let coeff = ConcurrentEngine::from_output(&release).unwrap();
         let rec = release.to_matrix().unwrap();
         let bare = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
         let q = RangeQuery::new(vec![Predicate::Range { lo: 1, hi: 3 }, Predicate::All]);

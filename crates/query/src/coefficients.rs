@@ -1,15 +1,33 @@
 //! Coefficient-domain query answering: O(∏ polylog mᵢ) per query, no
-//! reconstruction.
+//! reconstruction, from any number of threads.
 //!
 //! The paper's central structural fact (§IV–§V) is that a range-count
 //! query intersects only O(log m) Haar coefficients per dimension — the
 //! two boundary root-to-leaf paths — so a query can be answered *directly
 //! in the noisy coefficient domain* as a sparse tensor-product dot,
 //! without ever inverting the transform or building O(m) prefix sums.
-//! [`CoefficientAnswerer`] packages that serving path over a
-//! [`CoefficientOutput`] release: construction refines the coefficients
-//! once (O(m'), the mean-subtraction post-processing nominal dimensions
-//! need), and each `answer` then reads `∏ᵢ |supportᵢ|` coefficients.
+//! [`ConcurrentEngine`] is that serving path: an [`Arc`]-shared
+//! immutable [`ReleaseCore`] (refined once at construction, O(m')) plus
+//! an `Arc`-shared [`ShardedSupportCache`] memoizing the online path.
+//! Each `answer` reads `∏ᵢ |supportᵢ|` coefficients.
+//!
+//! A release is write-once, read-many, so no lock guards the
+//! coefficients (nothing mutates them), and online lookups of different
+//! supports hash to different cache shards and never contend. Cloning
+//! the engine is two `Arc` bumps, so the natural deployment is one clone
+//! per serving thread over one core.
+//!
+//! **Bitwise-equality guarantee.** Every arithmetic path (support
+//! derivation, sparse dot, plan execution) lives in the shared
+//! [`ReleaseCore`] and is pure, so any thread's answer is bit-identical
+//! to the core's uncached oracle on the same path:
+//! [`ReleaseCore::answer_uncached`] and
+//! [`ReleaseCore::answer_with_error_uncached`] for online answers,
+//! [`ReleaseCore::execute_plan`] for a compiled [`QueryPlan`].
+//! `tests/concurrent_serving.rs` asserts this from scoped threads on
+//! random mixed schemas, along with the cache's counter conservation
+//! under contention and compile-time `Send + Sync` for the plan, the core
+//! and the engine.
 //!
 //! Compare [`Answerer`](crate::Answerer): O(m) prefix-sum build, O(2^d)
 //! per query. The coefficient path wins when queries arrive online, when
@@ -18,141 +36,87 @@
 //! huge offline workloads over small m. Both return the same answers to
 //! floating-point rounding (property-tested at the workspace root).
 
-use crate::cache::{CacheStats, SharedSupport, SupportCache};
-use crate::engine::{AnnotatedAnswer, AnswerEngine, EngineDiagnostics};
+use crate::annotated::AnnotatedAnswer;
+use crate::cache::{
+    CacheStats, ShardedSupportCache, SharedSupport, SupportKey, DEFAULT_SHARD_COUNT,
+};
 use crate::plan::QueryPlan;
 use crate::range_query::RangeQuery;
 use crate::release::ReleaseCore;
 use crate::{QueryError, Result};
 use privelet::mechanism::CoefficientOutput;
-use privelet::transform::HnTransform;
 use privelet_data::schema::Schema;
-use privelet_matrix::NdMatrix;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Default bound on the online support cache: each entry holds one
 /// dimension's `O(polylog m)` weight pairs, so the default footprint is
 /// a few hundred kilobytes at most.
 pub const DEFAULT_SUPPORT_CACHE_CAPACITY: usize = 1024;
 
-/// A prepared coefficient-domain query answerer: an immutable, shareable
-/// [`ReleaseCore`] (schema + transform + refined coefficients) behind an
-/// [`Arc`], plus a single-lock [`SupportCache`] memoizing the online
-/// path.
+/// The coefficient-domain answering engine: an `Arc`-shared immutable
+/// [`ReleaseCore`] plus an `Arc`-shared [`ShardedSupportCache`].
 ///
-/// This is the single-threaded shell; a multi-threaded serving tier
-/// shares the same core through
-/// [`ConcurrentEngine`](crate::ConcurrentEngine) (see
-/// [`core`](Self::core)), whose sharded cache avoids making one lock the
-/// hot-path bottleneck.
-#[derive(Debug)]
-pub struct CoefficientAnswerer {
+/// All methods take `&self`; the engine is `Send + Sync` and `Clone`
+/// (two pointer bumps — clones serve the same release through the same
+/// cache). See the [module docs](self) for the design and guarantees.
+#[derive(Debug, Clone)]
+pub struct ConcurrentEngine {
     core: Arc<ReleaseCore>,
-    /// Memoized per-dimension supports for the online path; the batch
-    /// path interns supports in its [`QueryPlan`] instead. Behind a
-    /// mutex so `answer(&self)` stays shareable across threads.
-    cache: Mutex<SupportCache>,
+    cache: Arc<ShardedSupportCache>,
 }
 
-impl Clone for CoefficientAnswerer {
-    /// Shares the immutable release core (an `Arc` bump, not a
-    /// coefficient copy) and deep-copies the cache state and counters.
-    fn clone(&self) -> Self {
-        let cache = self
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        CoefficientAnswerer {
-            core: Arc::clone(&self.core),
-            cache: Mutex::new(cache),
-        }
-    }
-}
-
-impl CoefficientAnswerer {
-    /// Builds the answerer from a published coefficient matrix and its
-    /// metadata. Applies the refinement once (O(m'); idempotent, so exact
-    /// or already-refined coefficients pass through unchanged).
-    ///
-    /// Errors with [`QueryError::ShapeMismatch`] when the schema, the
-    /// transform and the coefficient matrix do not describe the same
-    /// release.
-    pub fn new(schema: Schema, transform: HnTransform, noisy: &NdMatrix) -> Result<Self> {
-        Ok(Self::from_core(Arc::new(ReleaseCore::new(
-            schema, transform, noisy,
-        )?)))
-    }
-
-    /// Wraps an already-built (possibly shared) release core with a
-    /// fresh default-capacity cache. The core's one-time work
+impl ConcurrentEngine {
+    /// Wraps a (possibly already shared) release core with a fresh cache
+    /// of [`DEFAULT_SUPPORT_CACHE_CAPACITY`] entries over
+    /// [`DEFAULT_SHARD_COUNT`] shards. The core's one-time work
     /// (validation, refinement, total) is not repeated.
-    pub fn from_core(core: Arc<ReleaseCore>) -> Self {
-        CoefficientAnswerer {
+    pub fn new(core: Arc<ReleaseCore>) -> Self {
+        Self::with_cache(core, DEFAULT_SUPPORT_CACHE_CAPACITY, DEFAULT_SHARD_COUNT)
+    }
+
+    /// Wraps a release core with a fresh cache holding at most
+    /// `capacity` supports in total across `shards` shards (capacity 0
+    /// disables caching; shard count is clamped to ≥ 1, and one shard is
+    /// a single-lock LRU).
+    pub fn with_cache(core: Arc<ReleaseCore>, capacity: usize, shards: usize) -> Self {
+        ConcurrentEngine {
             core,
-            cache: Mutex::new(SupportCache::new(DEFAULT_SUPPORT_CACHE_CAPACITY)),
+            cache: Arc::new(ShardedSupportCache::new(capacity, shards)),
         }
     }
 
-    /// The immutable release core this answerer serves from. Clone the
-    /// `Arc` to share the same refined coefficients with other shells —
-    /// e.g. a [`ConcurrentEngine`](crate::ConcurrentEngine) serving the
-    /// same release from many threads.
-    pub fn core(&self) -> &Arc<ReleaseCore> {
-        &self.core
-    }
-
-    /// Replaces the online support cache with one bounded at `capacity`
-    /// entries (0 disables caching). Counters restart from zero.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = Mutex::new(SupportCache::new(capacity));
-        self
-    }
-
-    /// Hit/miss/eviction counters of the online support cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .stats()
-    }
-
-    /// Builds the answerer straight from a [`publish_coefficients`]
+    /// Builds core and engine straight from a [`publish_coefficients`]
     /// release.
     ///
     /// [`publish_coefficients`]: privelet::mechanism::publish_coefficients
     pub fn from_output(out: &CoefficientOutput) -> Result<Self> {
-        Ok(Self::from_core(Arc::new(ReleaseCore::from_output(out)?)))
+        Ok(Self::new(Arc::new(ReleaseCore::from_output(out)?)))
     }
 
-    /// Rolls the answerer to a new epoch of the same release series
-    /// (see [`ReleaseCore::advance_epoch`] for the lineage validation):
-    /// a fresh core serving the epoch's coefficients, behind the *same*
-    /// warm support cache — supports are data-independent, so every
-    /// memoized `(dim, lo, hi)` entry (and its counters) carries over.
-    /// Only coefficient state (the refined matrix, the noisy total)
-    /// rolls. `self` keeps serving the old epoch untouched.
+    /// Rolls the engine to a new epoch of the same release series (see
+    /// [`ReleaseCore::advance_epoch`] for the lineage validation). The
+    /// returned engine shares this engine's cache `Arc`: supports are
+    /// pure functions of `(dim, lo, hi)` and the — lineage-pinned —
+    /// transform, so every warm entry stays valid across epochs; only
+    /// coefficient state rolls with the core. `self` keeps serving the
+    /// old epoch, so a serving tier can drain in-flight traffic on the
+    /// old engine while new traffic routes to the new one.
     pub fn advance_epoch(&self, out: &CoefficientOutput) -> Result<Self> {
-        let core = Arc::new(self.core.advance_epoch(out)?);
-        let cache = self
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        Ok(CoefficientAnswerer {
-            core,
-            cache: Mutex::new(cache),
+        Ok(ConcurrentEngine {
+            core: Arc::new(self.core.advance_epoch(out)?),
+            cache: Arc::clone(&self.cache),
         })
+    }
+
+    /// The shared release core. Clone the `Arc` to hand the same release
+    /// to further engines.
+    pub fn core(&self) -> &Arc<ReleaseCore> {
+        &self.core
     }
 
     /// The schema queries are validated against.
     pub fn schema(&self) -> &Schema {
         self.core.schema()
-    }
-
-    /// The transform the release was published under.
-    pub fn transform(&self) -> &HnTransform {
-        self.core.transform()
     }
 
     /// The (noisy) total count — the unconstrained query's answer.
@@ -165,6 +129,12 @@ impl CoefficientAnswerer {
     /// per-dimension supports, `∏ᵢ |supportᵢ|` coefficient reads — for
     /// all-Haar schemas O(∏ᵢ log mᵢ), versus the O(m) reconstruction the
     /// prefix-sum path must pay before its first answer.
+    ///
+    /// Safe and lock-cheap to call from many threads at once: each
+    /// dimension's lookup locks only the shard its `(dim, lo, hi)` key
+    /// hashes to, and a concurrent miss on the same key derives exactly
+    /// once per shard residency. Bit-identical to
+    /// [`ReleaseCore::answer_uncached`].
     pub fn answer(&self, q: &RangeQuery) -> Result<f64> {
         Ok(self.answer_with_support(q)?.0)
     }
@@ -181,77 +151,70 @@ impl CoefficientAnswerer {
     /// [`answer`](Self::answer) with its exact noise std-dev: the same
     /// cached supports and the same dot (bit-identical value), annotated
     /// from the supports' precomputed variance factors — on a warm cache
-    /// this is all hits and **zero** derivations.
+    /// this adds zero derivations and no lock traffic beyond the lookups
+    /// `answer` already performs.
     ///
     /// Errors with [`QueryError::MissingPrivacyMeta`] when the release
-    /// was built from a bare coefficient matrix.
+    /// carries no privacy accounting.
     pub fn answer_with_error(&self, q: &RangeQuery) -> Result<AnnotatedAnswer> {
         let supports = self.supports(q)?;
         self.core.annotate(self.core.dot(&supports), &supports)
     }
 
-    /// Answers a whole workload through the batch engine: compiles a
-    /// [`QueryPlan`] (one support derivation per distinct
-    /// `(dim, lo, hi)` triple across the batch) and executes it as
-    /// vectorized sparse dots over the plan's arena. Equals answering
-    /// each query individually, bit for bit, in a fraction of the
-    /// derivations; see [`plan`](Self::plan) to compile once and
-    /// execute many times.
+    /// Answers a whole workload by compiling a [`QueryPlan`] (one
+    /// support derivation per distinct `(dim, lo, hi)` triple across the
+    /// batch) and executing it against the shared core — no cache, and
+    /// so no lock, involved. For a workload served repeatedly, compile
+    /// once with [`plan`](Self::plan) and let every thread call
+    /// [`answer_plan`](Self::answer_plan) on the shared plan.
     pub fn answer_all(&self, queries: &[RangeQuery]) -> Result<Vec<f64>> {
         self.answer_plan(&self.plan(queries)?)
     }
 
-    /// Compiles a workload against this answerer's schema and transform.
-    /// The plan stays valid for this answerer's lifetime (both are
-    /// pinned to the same release metadata), so a serving loop can
-    /// compile once and [`answer_plan`](Self::answer_plan) per tick.
+    /// Compiles a workload against the shared release. The plan is
+    /// immutable and `Send + Sync`: compile once, share by reference (or
+    /// `Arc`), execute from any number of threads.
     pub fn plan(&self, queries: &[RangeQuery]) -> Result<QueryPlan> {
         self.core.plan(queries)
     }
 
-    /// Executes a compiled plan against the refined coefficients.
+    /// Executes a compiled plan against the shared refined coefficients.
+    /// Allocates only the output vector; any number of threads may
+    /// execute the same plan concurrently, each getting a bit-identical
+    /// result.
     pub fn answer_plan(&self, plan: &QueryPlan) -> Result<Vec<f64>> {
         self.core.execute_plan(plan)
     }
 
-    /// [`answer_plan`](Self::answer_plan) with error accounting: the
-    /// variance factors were interned at compile time, so the annotated
-    /// batch performs the identical sparse dots plus one
-    /// multiply-and-sqrt per distinct query — no cache traffic, no
-    /// derivations.
+    /// [`answer_plan`](Self::answer_plan) with error accounting from the
+    /// plan's compile-time-interned variance factors: same dots, zero
+    /// derivations, no locks.
     pub fn answer_plan_with_error(&self, plan: &QueryPlan) -> Result<Vec<AnnotatedAnswer>> {
         self.core.execute_plan_with_error(plan)
     }
 
-    /// Number of coefficients `answer` would read for this query
-    /// (`∏ᵢ |supportᵢ|`) — the per-query cost, exposed for diagnostics
-    /// and the `query_answering` bench. Prefer
-    /// [`answer_with_support`](Self::answer_with_support) when the answer
-    /// is needed too.
-    pub fn support_size(&self, q: &RangeQuery) -> Result<usize> {
-        Ok(self.supports(q)?.iter().map(|s| s.len()).product())
+    /// Aggregated hit/miss/eviction counters across all cache shards.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cache.stats()
     }
 
-    /// Resolves a query to its per-dimension sparse supports, through
-    /// the bounded LRU cache: repeated `(dim, lo, hi)` predicates across
-    /// requests reuse the memoized support instead of re-deriving it.
-    fn supports(&self, q: &RangeQuery) -> Result<Vec<SharedSupport>> {
-        let (lo, hi) = q.bounds(self.core.schema())?;
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        (0..self.core.schema().arity())
-            .map(|dim| {
-                let key = (dim, lo[dim], hi[dim]);
-                if let Some(support) = cache.get(key) {
-                    return Ok(support);
-                }
-                // bounds() validated arity and intervals against the
-                // schema, so this derivation cannot fail structurally;
-                // any residual transform error converts faithfully.
-                let support = self.core.derive_support(dim, lo[dim], hi[dim])?;
-                cache.insert(key, support.clone());
-                Ok(support)
-            })
-            .collect()
+    /// Drops every cached support whose key matches `pred`, returning
+    /// the number removed. Epoch advances do **not** need this —
+    /// supports are data-independent and survive coefficient rolls;
+    /// reach for it on genuine staleness (schema or transform swap) or
+    /// deliberate memory reclamation.
+    pub fn invalidate_where(&self, pred: impl FnMut(&SupportKey) -> bool) -> usize {
+        self.cache.invalidate_where(pred)
+    }
+
+    /// Per-shard cache counters, in shard order.
+    pub fn shard_stats(&self) -> Vec<CacheStats> {
+        self.cache.shard_stats()
+    }
+
+    /// Number of cache shards.
+    pub fn shard_count(&self) -> usize {
+        self.cache.shard_count()
     }
 
     /// Selectivity of a query relative to a tuple count `n`.
@@ -265,34 +228,32 @@ impl CoefficientAnswerer {
         }
         Ok(self.answer(q)? / n as f64)
     }
-}
 
-impl AnswerEngine for CoefficientAnswerer {
-    fn schema(&self) -> &Schema {
-        self.schema()
-    }
-
-    fn answer_one(&self, q: &RangeQuery) -> Result<f64> {
-        self.answer(q)
-    }
-
-    fn answer_with_error(&self, q: &RangeQuery) -> Result<AnnotatedAnswer> {
-        self.answer_with_error(q)
-    }
-
-    fn answer_batch(&self, queries: &[RangeQuery]) -> Result<Vec<f64>> {
-        self.answer_all(queries)
-    }
-
-    fn diagnostics(&self) -> EngineDiagnostics {
-        EngineDiagnostics {
-            engine: "coefficient",
-            build_cells: self.core.coefficients().len(),
-            cache: Some(self.cache_stats()),
-            shards: 1,
-        }
+    /// Resolves a query to its per-dimension sparse supports through the
+    /// cache: repeated `(dim, lo, hi)` predicates across requests reuse
+    /// the memoized support instead of re-deriving it.
+    fn supports(&self, q: &RangeQuery) -> Result<Vec<SharedSupport>> {
+        let (lo, hi) = q.bounds(self.core.schema())?;
+        (0..self.core.schema().arity())
+            .map(|dim| {
+                let key = (dim, lo[dim], hi[dim]);
+                self.cache
+                    .get_or_derive(key, || self.core.derive_support(dim, lo[dim], hi[dim]))
+            })
+            .collect()
     }
 }
+
+// The whole point of this engine: provable shareability. A regression
+// here (e.g. an `Rc` or `RefCell` slipping into the core) must fail to
+// compile, not fail in a stress test.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<ConcurrentEngine>();
+    assert_send_sync::<ReleaseCore>();
+    assert_send_sync::<ShardedSupportCache>();
+    assert_send_sync::<QueryPlan>();
+};
 
 #[cfg(test)]
 mod tests {
@@ -300,9 +261,10 @@ mod tests {
     use crate::answerer::Answerer;
     use crate::predicate::Predicate;
     use privelet::mechanism::{publish_coefficients, PriveletConfig};
-    use privelet::transform::Transform1d;
+    use privelet::transform::{HnTransform, Transform1d};
     use privelet_data::medical::medical_example;
     use privelet_data::FrequencyMatrix;
+    use privelet_matrix::NdMatrix;
     use std::collections::BTreeSet;
 
     fn exact(fm: &FrequencyMatrix, q: &RangeQuery) -> f64 {
@@ -328,23 +290,64 @@ mod tests {
                 },
             ]),
             RangeQuery::new(vec![Predicate::All, Predicate::Node { node: h.root() }]),
+            // Repeats query 2: both dims hit the cache.
+            RangeQuery::new(vec![Predicate::Range { lo: 0, hi: 2 }, Predicate::All]),
         ]
+    }
+
+    /// An engine over the exact (noise-free) coefficients of `fm`: no
+    /// publisher, so no privacy accounting.
+    fn exact_engine(fm: &FrequencyMatrix) -> ConcurrentEngine {
+        let hn = HnTransform::for_schema(fm.schema(), &BTreeSet::new()).unwrap();
+        let coeffs = hn.forward(fm.matrix()).unwrap();
+        let core = ReleaseCore::new(fm.schema().clone(), hn, &coeffs).unwrap();
+        ConcurrentEngine::new(Arc::new(core))
     }
 
     #[test]
     fn matches_reconstruct_then_prefix_sum_on_noisy_release() {
         for seed in [1u64, 5, 42] {
             let (fm, out) = medical_release(seed);
-            let coeff = CoefficientAnswerer::from_output(&out).unwrap();
+            let coeff = ConcurrentEngine::from_output(&out).unwrap();
             let rec = out.to_matrix().unwrap();
             let dense = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
-            for q in medical_queries(&fm) {
-                let a = coeff.answer(&q).unwrap();
-                let b = dense.answer(&q).unwrap();
+            let queries = medical_queries(&fm);
+            for q in &queries {
+                let a = coeff.answer(q).unwrap();
+                let b = dense.answer(q).unwrap();
                 assert!((a - b).abs() < 1e-9, "seed {seed}: {a} vs {b}");
             }
+            let batch = coeff.answer_all(&queries).unwrap();
+            for (a, b) in batch.iter().zip(&dense.answer_all(&queries).unwrap()) {
+                assert!((a - b).abs() < 1e-9, "seed {seed}: batch {a} vs {b}");
+            }
             assert!((coeff.total() - dense.total()).abs() < 1e-9);
+            assert_eq!(coeff.schema().arity(), 2);
+            // The repeated query hit the cache on both dimensions.
+            assert!(coeff.cache_stats().hits >= 2);
         }
+    }
+
+    #[test]
+    fn annotated_answers_agree_with_the_prefix_path() {
+        let (_, out) = medical_release(33);
+        let coeff = ConcurrentEngine::from_output(&out).unwrap();
+        // The prefix path needs the error model attached explicitly —
+        // the reconstructed matrix alone cannot know λ.
+        let rec = out.to_matrix().unwrap();
+        let prefix = Answerer::new(rec.schema().clone(), rec.matrix())
+            .unwrap()
+            .with_error_model(out.transform.clone(), out.meta)
+            .unwrap();
+        let q = RangeQuery::new(vec![Predicate::Range { lo: 0, hi: 2 }, Predicate::All]);
+        let a = prefix.answer_with_error(&q).unwrap();
+        let b = coeff.answer_with_error(&q).unwrap();
+        // Same release, same formula: the std-devs agree to rounding and
+        // each path's annotated value equals its plain answer bitwise.
+        assert!((a.std_dev - b.std_dev).abs() < 1e-9);
+        assert!(b.std_dev > 0.0);
+        assert_eq!(a.value, prefix.answer(&q).unwrap());
+        assert_eq!(b.value, coeff.answer(&q).unwrap());
     }
 
     #[test]
@@ -352,10 +355,7 @@ mod tests {
         // Forward-transform the exact matrix (no noise): answers equal the
         // exact evaluation.
         let fm = FrequencyMatrix::from_table(&medical_example()).unwrap();
-        let hn =
-            privelet::transform::HnTransform::for_schema(fm.schema(), &BTreeSet::new()).unwrap();
-        let coeffs = hn.forward(fm.matrix()).unwrap();
-        let ans = CoefficientAnswerer::new(fm.schema().clone(), hn, &coeffs).unwrap();
+        let ans = exact_engine(&fm);
         for q in medical_queries(&fm) {
             let got = ans.answer(&q).unwrap();
             let want = exact(&fm, &q);
@@ -372,7 +372,7 @@ mod tests {
     #[test]
     fn answer_all_matches_per_query_loop() {
         let (fm, out) = medical_release(31);
-        let ans = CoefficientAnswerer::from_output(&out).unwrap();
+        let ans = ConcurrentEngine::from_output(&out).unwrap();
         let queries = medical_queries(&fm);
         let batch = ans.answer_all(&queries).unwrap();
         for (q, got) in queries.iter().zip(&batch) {
@@ -393,11 +393,66 @@ mod tests {
     }
 
     #[test]
+    fn matches_the_uncached_core_bitwise() {
+        let (fm, out) = medical_release(37);
+        let engine = ConcurrentEngine::from_output(&out).unwrap();
+        let core = engine.core();
+        let qs = medical_queries(&fm);
+        // Plan path vs plan path on the shared core: bitwise.
+        let batch = core.execute_plan(&core.plan(&qs).unwrap()).unwrap();
+        assert_eq!(engine.answer_all(&qs).unwrap(), batch);
+        for (q, &want) in qs.iter().zip(&batch) {
+            // Online cached dot vs online uncached dot: bitwise.
+            let got = engine.answer(q).unwrap();
+            assert_eq!(got.to_bits(), core.answer_uncached(q).unwrap().to_bits());
+            // Online dot vs the plan's arena kernel (different summation
+            // order): 1e-12 relative per docs/architecture.md.
+            assert!(
+                (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                "online {got} vs plan {want}"
+            );
+        }
+        assert_eq!(engine.total(), core.total());
+        assert_eq!(
+            engine.selectivity(&qs[0], 0).unwrap_err(),
+            QueryError::ZeroPopulation
+        );
+    }
+
+    #[test]
+    fn annotated_answers_match_the_uncached_core() {
+        let (fm, out) = medical_release(37);
+        let engine = ConcurrentEngine::from_output(&out).unwrap();
+        let qs = medical_queries(&fm);
+        let plan = engine.plan(&qs).unwrap();
+        let annotated_plan = engine.answer_plan_with_error(&plan).unwrap();
+        for (i, q) in qs.iter().enumerate() {
+            let via_engine = engine.answer_with_error(q).unwrap();
+            let via_core = engine.core().answer_with_error_uncached(q).unwrap();
+            // Shared core, shared arithmetic: bit-identical annotations.
+            assert_eq!(via_engine.value.to_bits(), via_core.value.to_bits());
+            assert_eq!(via_engine.std_dev.to_bits(), via_core.std_dev.to_bits());
+            // Plan vs online value: cross-path, 1e-12 relative.
+            assert!(
+                (annotated_plan[i].value - via_engine.value).abs()
+                    <= 1e-12 * via_engine.value.abs().max(1.0),
+                "plan {} vs online {}",
+                annotated_plan[i].value,
+                via_engine.value
+            );
+            assert!((annotated_plan[i].std_dev - via_engine.std_dev).abs() < 1e-12);
+        }
+        // The annotations cost cache lookups only — one per (query, dim),
+        // exactly like plain answering.
+        let stats = engine.cache_stats();
+        assert_eq!(stats.hits + stats.misses, (qs.len() * 2) as u64);
+    }
+
+    #[test]
     fn online_cache_amortizes_repeated_predicates() {
         let (fm, out) = medical_release(19);
-        let ans = CoefficientAnswerer::from_output(&out)
-            .unwrap()
-            .with_cache_capacity(64);
+        let core = Arc::new(ReleaseCore::from_output(&out).unwrap());
+        let ans = ConcurrentEngine::with_cache(Arc::clone(&core), 64, 1);
         assert_eq!(ans.cache_stats().hits, 0);
         let q = &medical_queries(&fm)[1];
         let first = ans.answer(q).unwrap();
@@ -411,9 +466,7 @@ mod tests {
         assert_eq!(after_second.hits, 2);
         assert_eq!(after_second.misses, 2);
         // A disabled cache still answers correctly.
-        let uncached = CoefficientAnswerer::from_output(&out)
-            .unwrap()
-            .with_cache_capacity(0);
+        let uncached = ConcurrentEngine::with_cache(core, 0, DEFAULT_SHARD_COUNT);
         assert_eq!(uncached.answer(q).unwrap(), first);
         assert_eq!(uncached.cache_stats().hits, 0);
     }
@@ -421,7 +474,7 @@ mod tests {
     #[test]
     fn answer_with_error_rides_the_cache_for_free() {
         let (fm, out) = medical_release(41);
-        let ans = CoefficientAnswerer::from_output(&out).unwrap();
+        let ans = ConcurrentEngine::from_output(&out).unwrap();
         let queries = medical_queries(&fm);
 
         // Warm the cache with the plain answers.
@@ -465,10 +518,7 @@ mod tests {
     fn exact_releases_refuse_error_annotation() {
         // Built from bare coefficients: no λ, no error model.
         let fm = FrequencyMatrix::from_table(&medical_example()).unwrap();
-        let hn =
-            privelet::transform::HnTransform::for_schema(fm.schema(), &BTreeSet::new()).unwrap();
-        let coeffs = hn.forward(fm.matrix()).unwrap();
-        let ans = CoefficientAnswerer::new(fm.schema().clone(), hn, &coeffs).unwrap();
+        let ans = exact_engine(&fm);
         assert_eq!(
             ans.answer_with_error(&RangeQuery::all(2)).unwrap_err(),
             QueryError::MissingPrivacyMeta
@@ -478,11 +528,12 @@ mod tests {
     #[test]
     fn answer_with_support_matches_separate_calls() {
         let (fm, out) = medical_release(13);
-        let ans = CoefficientAnswerer::from_output(&out).unwrap();
+        let ans = ConcurrentEngine::from_output(&out).unwrap();
         for q in medical_queries(&fm) {
             let (value, support) = ans.answer_with_support(&q).unwrap();
             assert_eq!(value, ans.answer(&q).unwrap());
-            assert_eq!(support, ans.support_size(&q).unwrap());
+            let uncached = ans.core().supports_uncached(&q).unwrap();
+            assert_eq!(support, uncached.iter().map(|s| s.len()).product());
             assert!(support >= 1);
         }
     }
@@ -491,11 +542,11 @@ mod tests {
     fn support_size_is_logarithmic_for_haar() {
         use privelet_data::schema::{Attribute, Schema};
         let schema = Schema::new(vec![Attribute::ordinal("v", 1 << 12)]).unwrap();
-        let hn = privelet::transform::HnTransform::for_schema(&schema, &BTreeSet::new()).unwrap();
-        let coeffs = privelet_matrix::NdMatrix::zeros(&hn.output_dims()).unwrap();
-        let ans = CoefficientAnswerer::new(schema, hn, &coeffs).unwrap();
+        let hn = HnTransform::for_schema(&schema, &BTreeSet::new()).unwrap();
+        let coeffs = NdMatrix::zeros(&hn.output_dims()).unwrap();
+        let ans = ConcurrentEngine::new(Arc::new(ReleaseCore::new(schema, hn, &coeffs).unwrap()));
         let q = RangeQuery::new(vec![Predicate::Range { lo: 37, hi: 3901 }]);
-        let support = ans.support_size(&q).unwrap();
+        let support = ans.answer_with_support(&q).unwrap().1;
         assert!(support <= 2 * 12 + 1, "support {support}");
         // The prefix path would have scanned 2^12 cells to build first.
         assert!(support < 1 << 12);
@@ -505,23 +556,21 @@ mod tests {
     fn rejects_mismatched_metadata_and_bad_queries() {
         let (fm, out) = medical_release(9);
         // Coefficient matrix with the wrong dims.
-        let wrong = privelet_matrix::NdMatrix::zeros(&[4, 3]).unwrap();
+        let wrong = NdMatrix::zeros(&[4, 3]).unwrap();
         assert_eq!(
-            CoefficientAnswerer::new(fm.schema().clone(), out.transform.clone(), &wrong)
-                .unwrap_err(),
+            ReleaseCore::new(fm.schema().clone(), out.transform.clone(), &wrong).unwrap_err(),
             QueryError::ShapeMismatch
         );
         // Transform not matching the schema.
         use privelet_data::schema::{Attribute, Schema};
         let other = Schema::new(vec![Attribute::ordinal("x", 3)]).unwrap();
-        let other_hn =
-            privelet::transform::HnTransform::for_schema(&other, &BTreeSet::new()).unwrap();
+        let other_hn = HnTransform::for_schema(&other, &BTreeSet::new()).unwrap();
         assert_eq!(
-            CoefficientAnswerer::new(fm.schema().clone(), other_hn, &out.coefficients).unwrap_err(),
+            ReleaseCore::new(fm.schema().clone(), other_hn, &out.coefficients).unwrap_err(),
             QueryError::ShapeMismatch
         );
         // Query errors propagate.
-        let ans = CoefficientAnswerer::from_output(&out).unwrap();
+        let ans = ConcurrentEngine::from_output(&out).unwrap();
         let bad = RangeQuery::new(vec![Predicate::Range { lo: 9, hi: 9 }, Predicate::All]);
         assert!(ans.answer(&bad).is_err());
         assert!(ans.answer_all(&[bad]).is_err());
@@ -529,10 +578,9 @@ mod tests {
 
     #[test]
     fn rejects_nominal_transform_over_a_different_hierarchy() {
-        use privelet::transform::{DimTransform, HnTransform, NominalTransform};
+        use privelet::transform::{DimTransform, NominalTransform};
         use privelet_data::schema::{Attribute, Schema};
         use privelet_hierarchy::Spec;
-        use std::sync::Arc;
 
         // Schema hierarchy: 6 leaves in two groups of 3 (9 nodes).
         let schema_h = privelet_hierarchy::builder::three_level(6, 2).unwrap();
@@ -562,9 +610,9 @@ mod tests {
         // Dims line up (6 in, 9 out) — only the structural check can
         // reject this.
         assert_eq!(hn.input_dims(), schema.dims());
-        let coeffs = privelet_matrix::NdMatrix::zeros(&hn.output_dims()).unwrap();
+        let coeffs = NdMatrix::zeros(&hn.output_dims()).unwrap();
         assert_eq!(
-            CoefficientAnswerer::new(schema, hn, &coeffs).unwrap_err(),
+            ReleaseCore::new(schema, hn, &coeffs).unwrap_err(),
             QueryError::ShapeMismatch
         );
     }
@@ -572,12 +620,12 @@ mod tests {
     #[test]
     fn refinement_at_build_matters_for_nominal_dims() {
         // Without the build-time refinement, nominal noisy coefficients
-        // would disagree with the inverse_refined matrix; the answerer's
+        // would disagree with the inverse_refined matrix; the engine's
         // construction must absorb it.
         let (fm, out) = medical_release(77);
         let t = &out.transform.transforms()[1];
         assert!(t.has_refinement(), "dim 1 is nominal");
-        let ans = CoefficientAnswerer::from_output(&out).unwrap();
+        let ans = ConcurrentEngine::from_output(&out).unwrap();
         let rec = out.to_matrix().unwrap();
         let dense = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
         let h = fm.schema().attr(1).domain().hierarchy().unwrap().clone();
@@ -590,5 +638,41 @@ mod tests {
         let a = ans.answer(&q).unwrap();
         let b = dense.answer(&q).unwrap();
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+    }
+
+    #[test]
+    fn shared_plan_executes_identically_from_clones() {
+        let (fm, out) = medical_release(37);
+        let engine = ConcurrentEngine::from_output(&out).unwrap();
+        let queries = medical_queries(&fm);
+        let plan = engine.plan(&queries).unwrap();
+        let want = engine.answer_plan(&plan).unwrap();
+        let clone = engine.clone();
+        assert_eq!(clone.answer_plan(&plan).unwrap(), want);
+        // Clones share the cache, so online traffic on the clone shows
+        // up in the original's counters.
+        clone.answer(&queries[1]).unwrap();
+        assert!(engine.cache_stats().misses > 0);
+    }
+
+    #[test]
+    fn cache_counters_report_the_shards() {
+        let (fm, out) = medical_release(37);
+        let engine =
+            ConcurrentEngine::with_cache(Arc::new(ReleaseCore::from_output(&out).unwrap()), 64, 4);
+        assert_eq!(engine.core().coefficients().len(), out.coefficient_count());
+        let qs = medical_queries(&fm);
+        for q in &qs {
+            engine.answer(q).unwrap();
+        }
+        let stats = engine.cache_stats();
+        // The last query repeats query 2: both dims hit; counters conserve.
+        assert!(stats.hits >= 2);
+        assert_eq!(stats.hits + stats.misses, (qs.len() * 2) as u64);
+        assert_eq!(
+            engine.shard_stats().iter().map(|s| s.len).sum::<usize>(),
+            stats.len
+        );
+        assert_eq!(engine.shard_count(), 4);
     }
 }

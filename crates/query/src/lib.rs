@@ -18,20 +18,21 @@
 //! - [`predicate`] — per-attribute predicates and their interval resolution.
 //! - [`range_query`] — the query type, naive and prefix-sum evaluation,
 //!   coverage and selectivity.
-//! - [`coefficients`] — coefficient-domain answering over a published
-//!   noisy coefficient matrix: O(log m) coefficient reads per dimension
-//!   instead of an O(m) reconstruction before the first query.
-//! - [`engine`] — the [`AnswerEngine`] trait all answerers implement:
-//!   answer one, answer a batch, cost diagnostics.
+//! - [`coefficients`] — [`ConcurrentEngine`], the serving engine:
+//!   coefficient-domain answering over a published noisy coefficient
+//!   matrix, O(log m) coefficient reads per dimension instead of an O(m)
+//!   reconstruction before the first query, from any number of threads.
+//! - [`answerer`] — [`Answerer`], the reconstruct-then-prefix-sum path:
+//!   the reference oracle and evaluation baseline.
+//! - [`annotated`] — [`AnnotatedAnswer`]: an answer with its exact noise
+//!   std-dev, Chebyshev interval and z-score.
 //! - [`plan`] — [`QueryPlan`]: a batch compiled into interned supports
 //!   and CSR-style term lists over one contiguous arena.
-//! - [`cache`] — [`SupportCache`]: bounded LRU memoization of
-//!   per-dimension supports for the online path, and its hash-sharded
-//!   concurrent counterpart [`ShardedSupportCache`].
+//! - [`cache`] — [`ShardedSupportCache`]: the bounded, hash-sharded LRU
+//!   memoizing per-dimension supports for the online path.
 //! - [`release`] — [`ReleaseCore`]: the immutable `Send + Sync` core of
-//!   one coefficient-domain release, shared across threads via `Arc`.
-//! - [`concurrent`] — [`ConcurrentEngine`]: the multi-threaded serving
-//!   tier over a shared core and sharded cache.
+//!   one coefficient-domain release, shared across threads via `Arc`,
+//!   and its uncached answering paths (the engine's bitwise oracle).
 //! - [`workload`] — the random workload generator of §VII-A (40 000 queries,
 //!   1–4 predicates each).
 //! - [`metrics`] — square error and relative error with the sanity bound
@@ -44,12 +45,11 @@
 // with unsafe code is privelet-matrix (worker pool / lane executor).
 #![forbid(unsafe_code)]
 
+pub mod annotated;
 pub mod answerer;
 pub mod buckets;
 pub mod cache;
 pub mod coefficients;
-pub mod concurrent;
-pub mod engine;
 mod kernel;
 pub mod metrics;
 pub mod plan;
@@ -58,12 +58,11 @@ pub mod range_query;
 pub mod release;
 pub mod workload;
 
+pub use annotated::AnnotatedAnswer;
 pub use answerer::Answerer;
 pub use buckets::{quantile_rows, BucketRow};
-pub use cache::{CacheStats, DimSupport, ShardedSupportCache, SupportCache, DEFAULT_SHARD_COUNT};
-pub use coefficients::CoefficientAnswerer;
-pub use concurrent::ConcurrentEngine;
-pub use engine::{AnnotatedAnswer, AnswerEngine, EngineDiagnostics};
+pub use cache::{CacheStats, DimSupport, ShardedSupportCache, DEFAULT_SHARD_COUNT};
+pub use coefficients::ConcurrentEngine;
 pub use metrics::{relative_error, sanity_bound, square_error};
 pub use plan::QueryPlan;
 pub use predicate::Predicate;

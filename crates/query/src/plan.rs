@@ -25,7 +25,7 @@
 //! [`distinct_supports`]: QueryPlan::distinct_supports
 //! [`dedup_ratio`]: QueryPlan::dedup_ratio
 
-use crate::engine::AnnotatedAnswer;
+use crate::annotated::AnnotatedAnswer;
 use crate::range_query::RangeQuery;
 use crate::{QueryError, Result};
 use privelet::transform::{DimTransform, HnTransform, Transform1d};

@@ -8,23 +8,22 @@
 //! only immutable state, so the core is `Send + Sync` by construction
 //! and is meant to live inside an [`Arc`] shared across serving threads.
 //!
-//! The caching shells layer on top: [`CoefficientAnswerer`] pairs one
-//! core with a single-lock [`SupportCache`] for single-threaded online
-//! traffic, and [`ConcurrentEngine`] pairs the *same* `Arc`'d core with
-//! a hash-sharded cache for multi-threaded traffic. Both produce
-//! bit-identical answers *within each path* because every arithmetic
-//! path — support derivation, sparse dot, plan execution — lives here
-//! and is pure. Across paths (the online dot vs a compiled plan's arena
-//! kernel) answers agree to 1e-12 relative, not bitwise: the kernels may
-//! sum a support's terms in different orders (see the summation-order
-//! policy in `docs/architecture.md`).
+//! The serving engine layers on top: [`ConcurrentEngine`] pairs one
+//! `Arc`'d core with a hash-sharded support cache. Its answers are
+//! bit-identical to this core's uncached paths
+//! ([`answer_uncached`](ReleaseCore::answer_uncached),
+//! [`answer_with_error_uncached`](ReleaseCore::answer_with_error_uncached),
+//! [`execute_plan`](ReleaseCore::execute_plan)) *within each path*,
+//! because every arithmetic path — support derivation, sparse dot, plan
+//! execution — lives here and is pure. Across paths (the online dot vs a
+//! compiled plan's arena kernel) answers agree to 1e-12 relative, not
+//! bitwise: the kernels may sum a support's terms in different orders
+//! (see the summation-order policy in `docs/architecture.md`).
 //!
-//! [`CoefficientAnswerer`]: crate::CoefficientAnswerer
 //! [`ConcurrentEngine`]: crate::ConcurrentEngine
-//! [`SupportCache`]: crate::SupportCache
 
+use crate::annotated::AnnotatedAnswer;
 use crate::cache::{DimSupport, SharedSupport};
-use crate::engine::AnnotatedAnswer;
 use crate::plan::QueryPlan;
 use crate::range_query::RangeQuery;
 use crate::{QueryError, Result};
@@ -38,8 +37,8 @@ use std::sync::Arc;
 /// The immutable, shareable core of one coefficient-domain release:
 /// schema + transform + refined coefficients (+ cached strides, the
 /// noisy total, and the release's [`PrivacyMeta`] when it came from a
-/// publisher). See the [module docs](self) for how the caching shells
-/// layer on top.
+/// publisher). See the [module docs](self) for how the serving engine
+/// layers on top.
 #[derive(Debug, Clone)]
 pub struct ReleaseCore {
     schema: Schema,
@@ -202,8 +201,8 @@ impl ReleaseCore {
     }
 
     /// Resolves a query to its per-dimension bounds and derives every
-    /// support uncached — the cache-free answering path the shells fall
-    /// back on, and the reference the cached paths must equal bitwise.
+    /// support uncached — the cache-free answering path, and the
+    /// reference the cached engine must equal bitwise.
     pub fn supports_uncached(&self, q: &RangeQuery) -> Result<Vec<SharedSupport>> {
         let (lo, hi) = q.bounds(&self.schema)?;
         (0..self.schema.arity())

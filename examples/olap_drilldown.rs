@@ -4,7 +4,7 @@
 //! nominal predicates select either a hierarchy node's whole subtree
 //! (roll-up) or individual leaves (drill-down). This example publishes a
 //! 1-D Occupation-like table once **in the coefficient domain** and then
-//! navigates the hierarchy through the unified serving engine: the whole
+//! navigates the hierarchy through the serving engine: the whole
 //! dashboard (root, every group, every member of the largest group) is
 //! compiled into one `QueryPlan` and answered as sparse dots against the
 //! noisy coefficients — the matrix is never reconstructed — and a second
@@ -21,7 +21,7 @@ use privelet_repro::data::FrequencyMatrix;
 use privelet_repro::eval::ExactEvaluate;
 use privelet_repro::hierarchy::builder::three_level;
 use privelet_repro::matrix::NdMatrix;
-use privelet_repro::query::{CoefficientAnswerer, Predicate, RangeQuery};
+use privelet_repro::query::{ConcurrentEngine, Predicate, RangeQuery};
 
 fn main() {
     // An Occupation attribute: 60 occupations in 6 groups (height-3
@@ -42,7 +42,7 @@ fn main() {
 
     let epsilon = 0.5;
     let release = publish_coefficients(&fm, &PriveletConfig::pure(epsilon, 11)).expect("publish");
-    let answerer = CoefficientAnswerer::from_output(&release).expect("answerer");
+    let engine = ConcurrentEngine::from_output(&release).expect("engine");
     println!(
         "published {n} tuples over 60 occupations at ε = {epsilon} \
          ({} noisy coefficients, matrix never rebuilt; variance bound {:.0} = Eq. 6's {:.0})",
@@ -63,8 +63,8 @@ fn main() {
     dashboard.extend((leaf_lo..=leaf_hi).map(|p| node_query(hierarchy.leaf_node(p))));
     dashboard.push(node_query(largest));
 
-    let plan = answerer.plan(&dashboard).expect("plan compiles");
-    let noisy = answerer.answer_plan(&plan).expect("plan executes");
+    let plan = engine.plan(&dashboard).expect("plan compiles");
+    let noisy = engine.answer_plan(&plan).expect("plan executes");
     println!(
         "\ncompiled the {}-query dashboard into one plan: {} supports \
          requested, {} derived (dedup ratio {:.0}%)",
@@ -133,7 +133,7 @@ fn main() {
     // per-dimension support is served from memory.
     let refreshed: Vec<f64> = dashboard
         .iter()
-        .map(|q| answerer.answer(q).unwrap())
+        .map(|q| engine.answer(q).unwrap())
         .collect();
     // Online vs the plan's arena kernel: 1e-12 relative, not bitwise
     // (docs/architecture.md summation-order policy).
@@ -143,14 +143,14 @@ fn main() {
             "refresh must reproduce the batch: {r} vs {n}"
         );
     }
-    let first = answerer.cache_stats();
+    let first = engine.cache_stats();
     let again: Vec<f64> = dashboard
         .iter()
-        .map(|q| answerer.answer(q).unwrap())
+        .map(|q| engine.answer(q).unwrap())
         .collect();
     // Online vs online (cached): bit-identical.
     assert_eq!(again, refreshed);
-    let second = answerer.cache_stats();
+    let second = engine.cache_stats();
     println!(
         "\nonline refreshes: first warmed the cache ({} misses), the \
          second hit it on all {} lookups (overall hit rate {:.0}%)",

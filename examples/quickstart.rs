@@ -17,7 +17,7 @@ use privelet_repro::core::mechanism::{
 use privelet_repro::data::medical::{medical_example, AGE_GROUPS, DIABETES};
 use privelet_repro::data::FrequencyMatrix;
 use privelet_repro::eval::ExactEvaluate;
-use privelet_repro::query::{AnswerEngine, CoefficientAnswerer, Predicate, RangeQuery};
+use privelet_repro::query::{ConcurrentEngine, Predicate, RangeQuery};
 
 fn main() {
     // Table I: the input relation.
@@ -92,12 +92,12 @@ fn main() {
     // the inverse-transform path to floating-point rounding.
     let release = publish_coefficients(&fm, &PriveletConfig::pure(epsilon, 2024))
         .expect("coefficient publish");
-    let answerer = CoefficientAnswerer::from_output(&release).expect("coefficient answerer");
+    let engine = ConcurrentEngine::from_output(&release).expect("coefficient engine");
     println!(
         "\nserve-from-coefficients ({} noisy coefficients kept, matrix never rebuilt):",
         release.coefficient_count()
     );
-    let (coeff_answer, support) = answerer.answer_with_support(&query).unwrap();
+    let (coeff_answer, support) = engine.answer_with_support(&query).unwrap();
     println!(
         "  coefficient-domain answer = {coeff_answer:+.2} (reads {support} of {} coefficients)",
         release.coefficient_count()
@@ -110,7 +110,7 @@ fn main() {
     // std-dev (Var = 2λ²·∏ factors, a pure function of public transform
     // parameters — no privacy cost), so the release can report a
     // confidence interval next to each count.
-    let annotated = answerer.answer_with_error(&query).unwrap();
+    let annotated = engine.answer_with_error(&query).unwrap();
     assert_eq!(annotated.value, coeff_answer, "same supports, same dot");
     let (lo95, hi95) = annotated
         .interval(0.95)
@@ -140,8 +140,8 @@ fn main() {
         RangeQuery::new(vec![Predicate::Range { lo: 0, hi: 2 }, Predicate::All]),
         RangeQuery::all(2),
     ];
-    let plan = answerer.plan(&workload).expect("plan compiles");
-    let batch = answerer.answer_plan(&plan).expect("plan executes");
+    let plan = engine.plan(&workload).expect("plan compiles");
+    let batch = engine.answer_plan(&plan).expect("plan executes");
     println!(
         "\nbatched serving ({} queries compiled into one plan):",
         plan.len()
@@ -156,7 +156,7 @@ fn main() {
         // Plan vs online: 1e-12 relative, not bitwise — the plan's arena
         // kernel may sum supports in a different order than the online
         // dot (docs/architecture.md summation-order policy).
-        let online = answerer.answer(q).unwrap();
+        let online = engine.answer(q).unwrap();
         assert!(
             (online - a).abs() <= 1e-12 * online.abs().max(1.0),
             "batch must equal the per-query loop: {a} vs {online}"
@@ -169,10 +169,11 @@ fn main() {
             .map(|a| (a * 100.0).round() / 100.0)
             .collect::<Vec<_>>()
     );
-    let diagnostics = answerer.diagnostics();
-    let cache = diagnostics.cache.expect("coefficient engine has a cache");
+    let cache = engine.cache_stats();
     println!(
-        "  engine \"{}\": {} coefficients held, online cache {} hits / {} misses",
-        diagnostics.engine, diagnostics.build_cells, cache.hits, cache.misses
+        "  engine: {} coefficients held, online cache {} hits / {} misses",
+        engine.core().coefficients().len(),
+        cache.hits,
+        cache.misses
     );
 }

@@ -3,7 +3,9 @@
 //! 1. **Bitwise equivalence** — a `QueryPlan` compiled once and executed
 //!    from many scoped threads against one shared `ReleaseCore` (and the
 //!    online path through the sharded cache) returns answers
-//!    bit-identical to the serial `CoefficientAnswerer`, on random
+//!    bit-identical to the core's serial, uncached oracle
+//!    (`ReleaseCore::execute_plan` on its own compilation of the
+//!    workload, `ReleaseCore::answer_uncached` online), on random
 //!    1–3-dimensional mixed schemas.
 //! 2. **Counter conservation under contention** — hammering one
 //!    `ShardedSupportCache` from many threads keeps
@@ -11,7 +13,7 @@
 //!    one derivation per distinct `(dim, lo, hi)` key resident in its
 //!    shard.
 //! 3. **Compile-time shareability** — `Send + Sync` static assertions
-//!    for the plan, the release core, the engines and the caches.
+//!    for the plan, the release core, the engine and the cache.
 //!
 //! Thread-stress iteration counts are bounded by default (the dev
 //! container is single-CPU) and scaled up in CI via the
@@ -26,8 +28,7 @@ use privelet_repro::core::mechanism::{publish_coefficients, PriveletConfig};
 use privelet_repro::data::schema::{Attribute, Schema};
 use privelet_repro::query::cache::SupportKey;
 use privelet_repro::query::{
-    AnswerEngine, Answerer, CoefficientAnswerer, ConcurrentEngine, DimSupport, QueryPlan,
-    RangeQuery, ReleaseCore, ShardedSupportCache, SupportCache,
+    Answerer, ConcurrentEngine, DimSupport, QueryPlan, RangeQuery, ReleaseCore, ShardedSupportCache,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,18 +51,15 @@ fn send_sync_assertion_suite() {
     assert_send_sync::<ConcurrentEngine>();
     assert_send_sync::<ShardedSupportCache>();
     assert_send_sync::<Arc<ShardedSupportCache>>();
-    // The single-lock shells are shareable too (their caches are behind
-    // locks); the concurrent tier just shares *better*.
-    assert_send_sync::<CoefficientAnswerer>();
-    assert_send_sync::<SupportCache>();
+    // The prefix-sum oracle is shareable too.
     assert_send_sync::<Answerer>();
 }
 
 /// The acceptance scenario, deterministic: one release, one plan
 /// compiled once, `THREADS` scoped threads each executing the shared
 /// plan and answering the workload online through the shared sharded
-/// cache. Every thread's batch is bitwise-identical to the serial
-/// `answer_all`, and the sharded counters conserve.
+/// cache. Every thread's batch is bitwise-identical to the serial plan
+/// execution on the core, and the sharded counters conserve.
 #[test]
 fn shared_plan_from_many_threads_is_bitwise_identical_to_serial() {
     let schema = Schema::new(vec![
@@ -71,15 +69,20 @@ fn shared_plan_from_many_threads_is_bitwise_identical_to_serial() {
     .unwrap();
     let fm = data_matrix(&schema, 41);
     let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 59)).unwrap();
-    let serial = CoefficientAnswerer::from_output(&release).unwrap();
-    let engine = ConcurrentEngine::from_answerer(&serial);
+    let engine = ConcurrentEngine::from_output(&release).unwrap();
+    let serial = engine.core();
     let queries = workload(&schema, 77);
 
     // Compile ONCE; the serial reference uses its own compilation of the
     // same workload (plans are deterministic, but nothing is shared).
     let plan = engine.plan(&queries).unwrap();
-    let serial_batch = serial.answer_all(&queries).unwrap();
-    let serial_online: Vec<f64> = queries.iter().map(|q| serial.answer(q).unwrap()).collect();
+    let serial_batch = serial
+        .execute_plan(&serial.plan(&queries).unwrap())
+        .unwrap();
+    let serial_online: Vec<f64> = queries
+        .iter()
+        .map(|q| serial.answer_uncached(q).unwrap())
+        .collect();
 
     let rounds = stress_iters(3);
     thread::scope(|s| {
@@ -258,14 +261,14 @@ proptest! {
         let fm = data_matrix(&schema, data_seed);
         let cfg = PriveletConfig::plus(1.0, sa, noise_seed);
         let release = publish_coefficients(&fm, &cfg).unwrap();
-        let serial = CoefficientAnswerer::from_output(&release).unwrap();
-        let engine = ConcurrentEngine::from_answerer(&serial);
+        let engine = ConcurrentEngine::from_output(&release).unwrap();
+        let serial = engine.core();
         let queries = workload(&schema, wl_seed);
 
         let plan = engine.plan(&queries).unwrap();
-        let serial_batch = serial.answer_all(&queries).unwrap();
+        let serial_batch = serial.execute_plan(&serial.plan(&queries).unwrap()).unwrap();
         let serial_online: Vec<f64> =
-            queries.iter().map(|q| serial.answer(q).unwrap()).collect();
+            queries.iter().map(|q| serial.answer_uncached(q).unwrap()).collect();
 
         let results: Vec<(Vec<f64>, Vec<f64>)> = thread::scope(|s| {
             let handles: Vec<_> = (0..4)
@@ -304,9 +307,9 @@ proptest! {
         );
         prop_assert_eq!(stats.misses as usize, distinct_triples(&schema, &queries));
 
-        // The trait surface agrees too.
-        let via_trait = AnswerEngine::answer_batch(&engine, &queries).unwrap();
-        for (got, want) in via_trait.iter().zip(&serial_batch) {
+        // The compile-and-execute convenience path agrees too.
+        let via_answer_all = engine.answer_all(&queries).unwrap();
+        for (got, want) in via_answer_all.iter().zip(&serial_batch) {
             prop_assert_eq!(got.to_bits(), want.to_bits());
         }
     }
@@ -349,13 +352,13 @@ fn errors_from_threads_match_serial_and_poison_nothing() {
     let schema = Schema::new(vec![Attribute::ordinal("a", 8)]).unwrap();
     let fm = data_matrix(&schema, 9);
     let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 11)).unwrap();
-    let serial = CoefficientAnswerer::from_output(&release).unwrap();
-    let engine = ConcurrentEngine::from_answerer(&serial);
+    let engine = ConcurrentEngine::from_output(&release).unwrap();
+    let serial = Arc::clone(engine.core());
     let bad = RangeQuery::new(vec![privelet_repro::query::Predicate::Range {
         lo: 8,
         hi: 9,
     }]);
-    let want = serial.answer(&bad).unwrap_err();
+    let want = serial.answer_uncached(&bad).unwrap_err();
     thread::scope(|s| {
         let handles: Vec<_> = (0..4)
             .map(|_| {

@@ -30,10 +30,12 @@ use privelet_repro::eval::calibration_check;
 use privelet_repro::eval::ExactEvaluate;
 use privelet_repro::noise::RunningStats;
 use privelet_repro::query::{
-    AnswerEngine, Answerer, CoefficientAnswerer, ConcurrentEngine, Predicate, RangeQuery,
+    AnnotatedAnswer, Answerer, ConcurrentEngine, Predicate, RangeQuery, ReleaseCore,
+    DEFAULT_SHARD_COUNT,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -69,9 +71,10 @@ proptest! {
         }
     }
 
-    /// Every engine's annotated answer carries the exact variance the
-    /// variance module computes, and a value bit-identical to its plain
-    /// answer.
+    /// Every answering path's annotated answer — the engine, the core's
+    /// uncached oracle and the prefix-sum answerer — carries the exact
+    /// variance the variance module computes, and a value bit-identical
+    /// to that path's plain answer.
     #[test]
     fn annotated_answers_reproduce_the_variance_module(
         (schema, sa) in schema_strategy(),
@@ -82,14 +85,13 @@ proptest! {
         let fm = data_matrix(&schema, data_seed);
         let cfg = PriveletConfig::plus(1.0, sa, noise_seed);
         let release = publish_coefficients(&fm, &cfg).unwrap();
-        let coeff = CoefficientAnswerer::from_output(&release).unwrap();
-        let engine = ConcurrentEngine::from_answerer(&coeff);
+        let engine = ConcurrentEngine::from_output(&release).unwrap();
+        let core = engine.core();
         let rec = release.to_matrix().unwrap();
         let prefix = Answerer::new(rec.schema().clone(), rec.matrix())
             .unwrap()
             .with_error_model(release.transform.clone(), release.meta)
             .unwrap();
-        let engines: Vec<&dyn AnswerEngine> = vec![&coeff, &engine, &prefix];
 
         // A workload slice keeps the proptest cheap; the full workload
         // is exercised by the counter test below.
@@ -97,9 +99,13 @@ proptest! {
             let (lo, hi) = q.bounds(&schema).unwrap();
             let want =
                 exact_query_variance(&release.transform, release.meta.lambda, &lo, &hi).unwrap();
-            for e in &engines {
-                let a = e.answer_with_error(&q).unwrap();
-                prop_assert_eq!(a.value, e.answer_one(&q).unwrap());
+            let paths: [(AnnotatedAnswer, f64); 3] = [
+                (engine.answer_with_error(&q).unwrap(), engine.answer(&q).unwrap()),
+                (core.answer_with_error_uncached(&q).unwrap(), core.answer_uncached(&q).unwrap()),
+                (prefix.answer_with_error(&q).unwrap(), prefix.answer(&q).unwrap()),
+            ];
+            for (a, plain) in paths {
+                prop_assert_eq!(a.value, plain);
                 prop_assert!(
                     (a.variance() - want).abs() <= 1e-9 * want.max(1e-12),
                     "variance {} vs {want}", a.variance()
@@ -126,9 +132,8 @@ fn error_annotation_adds_zero_support_derivations() {
 
     // Cold annotated pass: exactly one derivation (= miss) per distinct
     // triple — the factor rides the derivation instead of adding one.
-    let coeff = CoefficientAnswerer::from_output(&release)
-        .unwrap()
-        .with_cache_capacity(4096);
+    let core = Arc::new(ReleaseCore::from_output(&release).unwrap());
+    let coeff = ConcurrentEngine::with_cache(core, 4096, DEFAULT_SHARD_COUNT);
     let first: Vec<f64> = queries
         .iter()
         .map(|q| coeff.answer_with_error(q).unwrap().value)
@@ -179,9 +184,9 @@ fn error_annotation_adds_zero_support_derivations() {
         assert!(a.std_dev > 0.0);
     }
 
-    // The concurrent tier honors the same contract through its sharded
-    // counters.
-    let engine = ConcurrentEngine::from_answerer(&coeff);
+    // A second engine over the same core, cold cache, honors the same
+    // contract through its sharded counters.
+    let engine = ConcurrentEngine::new(Arc::clone(coeff.core()));
     for q in &queries {
         engine.answer_with_error(q).unwrap();
     }
@@ -236,7 +241,7 @@ fn calibration_matches_the_laplace_sum_distribution() {
 
     // Predicted variance never exceeds the analytic worst case.
     let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 1)).unwrap();
-    let ans = CoefficientAnswerer::from_output(&release).unwrap();
+    let ans = ConcurrentEngine::from_output(&release).unwrap();
     for q in &queries {
         let a = ans.answer_with_error(q).unwrap();
         assert!(a.variance() <= release.meta.variance_bound * (1.0 + 1e-9));
@@ -261,9 +266,9 @@ fn single_coefficient_query_has_laplace_shaped_z_scores() {
     for s in 0..seeds {
         let release =
             publish_coefficients(&fm, &PriveletConfig::pure(1.0, 5000 + s as u64)).unwrap();
-        let ans = CoefficientAnswerer::from_output(&release).unwrap();
+        let ans = ConcurrentEngine::from_output(&release).unwrap();
         // One coefficient read ⇒ one Laplace draw.
-        assert_eq!(ans.support_size(&q).unwrap(), 1);
+        assert_eq!(ans.answer_with_support(&q).unwrap().1, 1);
         let a = ans.answer_with_error(&q).unwrap();
         let z = a.z_score(exact);
         zs.push(z.abs());
@@ -287,7 +292,8 @@ fn single_coefficient_query_has_laplace_shaped_z_scores() {
 }
 
 /// Exact-coefficient releases (no publisher, no λ) answer but refuse to
-/// annotate — across all engines and both per-query and plan paths.
+/// annotate — on the engine and the core's uncached oracle, on both
+/// per-query and plan paths.
 #[test]
 fn unmetered_releases_refuse_annotation_everywhere() {
     use privelet_repro::query::QueryError;
@@ -296,7 +302,7 @@ fn unmetered_releases_refuse_annotation_everywhere() {
     let fm = data_matrix(&schema, 1);
     let hn = HnTransform::for_schema(&schema, &BTreeSet::new()).unwrap();
     let coeffs = hn.forward(fm.matrix()).unwrap();
-    let ans = CoefficientAnswerer::new(schema.clone(), hn, &coeffs).unwrap();
+    let ans = ConcurrentEngine::new(Arc::new(ReleaseCore::new(schema, hn, &coeffs).unwrap()));
     let q = RangeQuery::all(1);
     assert!(ans.answer(&q).is_ok());
     assert_eq!(
@@ -309,9 +315,8 @@ fn unmetered_releases_refuse_annotation_everywhere() {
         ans.answer_plan_with_error(&plan).unwrap_err(),
         QueryError::MissingPrivacyMeta
     );
-    let engine = ConcurrentEngine::from_answerer(&ans);
     assert_eq!(
-        engine.answer_with_error(&q).unwrap_err(),
+        ans.core().answer_with_error_uncached(&q).unwrap_err(),
         QueryError::MissingPrivacyMeta
     );
 }

@@ -11,9 +11,11 @@ use privelet_repro::core::mechanism::{publish_coefficients, PriveletConfig};
 use privelet_repro::core::transform::HnTransform;
 use privelet_repro::data::schema::{Attribute, Schema};
 use privelet_repro::query::{
-    generate_workload, AnswerEngine, Answerer, CoefficientAnswerer, QueryPlan, WorkloadConfig,
+    generate_workload, Answerer, ConcurrentEngine, QueryPlan, ReleaseCore, WorkloadConfig,
+    DEFAULT_SHARD_COUNT,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -43,7 +45,8 @@ proptest! {
         prop_assert!(plan.dedup_ratio() > 0.0);
 
         let batch = plan.execute(&coeffs).unwrap();
-        let coeff = CoefficientAnswerer::new(schema.clone(), hn, &coeffs).unwrap();
+        let core = ReleaseCore::new(schema.clone(), hn, &coeffs).unwrap();
+        let coeff = ConcurrentEngine::new(Arc::new(core));
         let dense = Answerer::new(fm.schema().clone(), fm.matrix()).unwrap();
         for (q, &got) in queries.iter().zip(&batch) {
             let one = coeff.answer(q).unwrap();
@@ -53,8 +56,9 @@ proptest! {
         }
     }
 
-    /// Noisy releases: `answer_all` (the plan path) equals the per-query
-    /// loop through both engine interfaces. Noisy cell values reach
+    /// Noisy releases: `answer_all` (the plan path) equals executing the
+    /// core's own compilation of the workload bit for bit, and the
+    /// per-query loop to cross-path rounding. Noisy cell values reach
     /// O(λ·m) in magnitude, so the cross-path tolerance scales with the
     /// summed coefficient mass.
     #[test]
@@ -67,12 +71,13 @@ proptest! {
         let fm = data_matrix(&schema, data_seed);
         let cfg = PriveletConfig::plus(1.0, sa, noise_seed);
         let release = publish_coefficients(&fm, &cfg).unwrap();
-        let coeff = CoefficientAnswerer::from_output(&release).unwrap();
+        let coeff = ConcurrentEngine::from_output(&release).unwrap();
         let queries = workload(&schema, wl_seed);
 
         let batch = coeff.answer_all(&queries).unwrap();
-        let via_trait = AnswerEngine::answer_batch(&coeff, &queries).unwrap();
-        prop_assert_eq!(&batch, &via_trait);
+        let core = coeff.core();
+        let via_core = core.execute_plan(&core.plan(&queries).unwrap()).unwrap();
+        prop_assert_eq!(&batch, &via_core);
         for (q, &got) in queries.iter().zip(&batch) {
             // Same supports, but the plan's arena kernel may sum a
             // support in a different order than the online dot, so
@@ -133,9 +138,8 @@ fn online_cache_derives_each_triple_once() {
     .unwrap();
     let fm = data_matrix(&schema, 7);
     let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 13)).unwrap();
-    let coeff = CoefficientAnswerer::from_output(&release)
-        .unwrap()
-        .with_cache_capacity(4096);
+    let core = ReleaseCore::from_output(&release).unwrap();
+    let coeff = ConcurrentEngine::with_cache(Arc::new(core), 4096, DEFAULT_SHARD_COUNT);
     let queries = workload(&schema, 99);
     let distinct = distinct_triples(&schema, &queries);
 
