@@ -1,36 +1,38 @@
-//! `ingest_throughput`: streaming-ingest cost, sequential vs coalesced.
+//! `ingest_throughput`: streaming-ingest cost, one coalesced batch vs a
+//! loop of single increments.
 //!
-//! The coalesced bulk-ingest path (ISSUE 10) is judged here: at the
-//! acceptance point — m = 2^18 on a 2-dim mixed schema (ordinal 512 ×
-//! nominal `three_level(512, 8)`) — `apply_increments` on clustered
-//! batches of 4096 must beat a sequential `apply_increment` loop by ≥2×.
-//! The sweep crosses batch size (1 / 64 / 1024 / 4096) with cell
-//! locality (clustered: all cells inside one 64×64 tile, so leaf-to-root
-//! paths overlap heavily; uniform: hashed over the whole domain), because
-//! the win is algorithmic — bulk cost is proportional to the *distinct
-//! dirty coefficients*, sequential cost to batch × ∏ log mᵢ.
+//! At the acceptance point — m = 2^18 on a 2-dim mixed schema (ordinal
+//! 512 × nominal `three_level(512, 8)`) — `apply_increments` on clustered
+//! batches of 4096 must beat a loop of single `apply_increment` calls by
+//! ≥2×. Both sides run the same dirty-set propagation (a single increment
+//! is a batch of one), so the ratio is what coalescing alone saves. The
+//! sweep crosses batch size (1 / 64 / 1024 / 4096) with cell locality
+//! (clustered: all cells inside one 64×64 tile, so leaf-to-root paths
+//! overlap heavily; uniform: hashed over the whole domain), because the
+//! win is algorithmic — batch cost is proportional to the *distinct dirty
+//! coefficients*, the loop's to batch × ∏ log mᵢ.
 //!
 //! Criterion's offline stub ignores CLI arguments, so this is a
 //! hand-written harness, same shape as `publish_throughput`:
 //!
 //! - `cargo bench --bench ingest_throughput` — full sweep: per point,
-//!   seconds per batch and increments/sec for both paths, plus the
-//!   speedup and the bulk path's `IngestReport` counters.
+//!   seconds per batch and increments/sec for both sides, plus the
+//!   speedup and the batch's `IngestReport` counters.
 //! - `... -- --test` — smoke mode: tiny fixture, correctness assertions
-//!   only (bulk == sequential == dense forward, bitwise; bulk writes no
+//!   only (batch == loop == dense forward, bitwise; the batch writes no
 //!   more coefficients than the loop). CI runs this on both feature sets.
 //! - `... -- --record <path>` — additionally writes the sweep as JSON
-//!   (`BENCH_ingest_batch.json` holds such a run: `seq_*` columns are the
-//!   before numbers, `bulk_*` the after).
+//!   (`BENCH_ingest_batch.json` holds such a run: `loop_*` columns are
+//!   the single-increment loop, `bulk_*` the one batch).
 //!
-//! Methodology: per point, each path replays the same pre-generated
+//! Methodology: per point, each side replays the same pre-generated
 //! batch until ≥ the time budget has accumulated (minimum 5 iterations)
 //! and the best iteration is reported — best-of is the right statistic
 //! for a single-threaded CPU-bound kernel on a noisy shared box. One
-//! release per path is constructed per point and reused across
-//! iterations, so the bulk path's workspace amortizes exactly as it does
-//! in a serving loop (deltas accumulate across iterations; that only
-//! grows leaf values, never the touched-path structure).
+//! release per side is constructed per point and reused across
+//! iterations, so the workspace amortizes exactly as it does in a
+//! serving loop (deltas accumulate across iterations; that only grows
+//! leaf values, never the touched-path structure).
 
 use privelet::transform::HnTransform;
 use privelet::{IncrementalRelease, IngestReport};
@@ -134,10 +136,10 @@ fn best_of<R>(budget_secs: f64, mut f: impl FnMut() -> R) -> f64 {
 struct Point {
     batch: usize,
     clustered: bool,
-    seq_secs: f64,
+    loop_secs: f64,
     bulk_secs: f64,
     report: IngestReport,
-    seq_written: usize,
+    loop_written: usize,
 }
 
 fn measure(fm: &FrequencyMatrix, size: usize, clustered: bool, budget_secs: f64) -> Point {
@@ -149,21 +151,21 @@ fn measure(fm: &FrequencyMatrix, size: usize, clustered: bool, budget_secs: f64)
         clustered,
     );
 
-    // Before: the sequential per-increment loop (what `apply_rows` was).
-    let mut seq = IncrementalRelease::new(fm, &sa, 1e9).unwrap();
-    let mut seq_written = 0usize;
+    // A loop of single increments, each a batch of one.
+    let mut single = IncrementalRelease::new(fm, &sa, 1e9).unwrap();
+    let mut loop_written = 0usize;
     for (cell, delta) in &increments {
-        seq_written += seq.apply_increment(cell, *delta).unwrap();
+        loop_written += single.apply_increment(cell, *delta).unwrap();
     }
-    let seq_secs = best_of(budget_secs, || {
+    let loop_secs = best_of(budget_secs, || {
         let mut w = 0usize;
         for (cell, delta) in &increments {
-            w += seq.apply_increment(black_box(cell), *delta).unwrap();
+            w += single.apply_increment(black_box(cell), *delta).unwrap();
         }
         w
     });
 
-    // After: one coalesced dirty-set walk per batch.
+    // One coalesced dirty-set walk per batch.
     let mut bulk = IncrementalRelease::new(fm, &sa, 1e9).unwrap();
     let report = bulk.apply_increments(&increments).unwrap();
     let bulk_secs = best_of(budget_secs, || {
@@ -173,28 +175,29 @@ fn measure(fm: &FrequencyMatrix, size: usize, clustered: bool, budget_secs: f64)
     Point {
         batch: size,
         clustered,
-        seq_secs,
+        loop_secs,
         bulk_secs,
         report,
-        seq_written,
+        loop_written,
     }
 }
 
-/// Smoke gate (CI, both feature sets): the bulk path must be bit-identical
-/// to the sequential loop, and both to a dense forward on the updated
-/// table — while writing no more coefficients than the loop did.
-fn assert_bulk_matches_sequential() {
+/// Smoke gate (CI, both feature sets): one batch must be bit-identical to
+/// a loop of single increments, and both to a dense forward on the
+/// updated table — while the batch writes no more coefficients than the
+/// loop did.
+fn assert_batch_matches_loop() {
     let (schema, fm) = smoke_fixture();
     let sa_sets = [BTreeSet::new(), BTreeSet::from([0usize])];
     for sa in &sa_sets {
         for clustered in [true, false] {
             let increments = batch(&schema, 42 + clustered as u64, 512, clustered);
 
-            let mut seq = IncrementalRelease::new(&fm, sa, 1.0).unwrap();
-            let mut seq_written = 0usize;
+            let mut single = IncrementalRelease::new(&fm, sa, 1.0).unwrap();
+            let mut loop_written = 0usize;
             let mut dense = fm.matrix().clone();
             for (cell, delta) in &increments {
-                seq_written += seq.apply_increment(cell, *delta).unwrap();
+                loop_written += single.apply_increment(cell, *delta).unwrap();
                 let old = dense.get(cell).unwrap();
                 dense.set(cell, old + delta).unwrap();
             }
@@ -202,23 +205,25 @@ fn assert_bulk_matches_sequential() {
             let mut bulk = IncrementalRelease::new(&fm, sa, 1.0).unwrap();
             let report = bulk.apply_increments(&increments).unwrap();
             assert!(
-                report.coefficients_written <= seq_written,
-                "bulk wrote {} coefficients, sequential loop wrote {seq_written}",
+                report.coefficients_written <= loop_written,
+                "batch wrote {} coefficients, single-increment loop wrote {loop_written}",
                 report.coefficients_written
             );
             assert!(report.coefficients_written <= report.touch_bound);
 
             let hn = HnTransform::for_schema(&schema, sa).unwrap();
             let want = hn.forward(&dense).unwrap();
+            let bits =
+                |m: &NdMatrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
             assert_eq!(
-                seq.exact_coefficients().as_slice(),
-                want.as_slice(),
-                "sequential state must track the dense forward bitwise"
+                bits(single.exact_coefficients()),
+                bits(&want),
+                "single-increment loop must track the dense forward bitwise"
             );
             assert_eq!(
-                bulk.exact_coefficients().as_slice(),
-                seq.exact_coefficients().as_slice(),
-                "bulk batch must be bit-identical to the sequential loop \
+                bits(bulk.exact_coefficients()),
+                bits(&want),
+                "batch must be bit-identical to the dense forward \
                  (clustered = {clustered}, sa = {sa:?})"
             );
         }
@@ -236,18 +241,18 @@ fn to_json(points: &[Point]) -> Json {
                     "mode".into(),
                     Json::Str(if p.clustered { "clustered" } else { "uniform" }.into()),
                 );
-                obj.insert("seq_secs".into(), Json::Num(p.seq_secs));
+                obj.insert("loop_secs".into(), Json::Num(p.loop_secs));
                 obj.insert("bulk_secs".into(), Json::Num(p.bulk_secs));
-                obj.insert("speedup".into(), Json::Num(p.seq_secs / p.bulk_secs));
+                obj.insert("speedup".into(), Json::Num(p.loop_secs / p.bulk_secs));
                 obj.insert(
-                    "seq_inc_per_sec".into(),
-                    Json::Num(p.batch as f64 / p.seq_secs),
+                    "loop_inc_per_sec".into(),
+                    Json::Num(p.batch as f64 / p.loop_secs),
                 );
                 obj.insert(
                     "bulk_inc_per_sec".into(),
                     Json::Num(p.batch as f64 / p.bulk_secs),
                 );
-                obj.insert("seq_written".into(), Json::Num(p.seq_written as f64));
+                obj.insert("loop_written".into(), Json::Num(p.loop_written as f64));
                 obj.insert(
                     "bulk_written".into(),
                     Json::Num(p.report.coefficients_written as f64),
@@ -272,7 +277,7 @@ fn main() {
         .map(|i| args.get(i + 1).expect("--record needs a path").clone());
 
     if smoke {
-        assert_bulk_matches_sequential();
+        assert_batch_matches_loop();
         println!("ingest_throughput smoke OK");
         return;
     }
@@ -282,7 +287,7 @@ fn main() {
     let mut points = Vec::new();
     println!(
         "{:>6} {:>10} {:>12} {:>12} {:>8} {:>12} {:>12}",
-        "batch", "mode", "seq_s", "bulk_s", "speedup", "seq_wr", "bulk_wr"
+        "batch", "mode", "loop_s", "bulk_s", "speedup", "loop_wr", "bulk_wr"
     );
     for clustered in [true, false] {
         for size in [1usize, 64, 1024, 4096] {
@@ -291,10 +296,10 @@ fn main() {
                 "{:>6} {:>10} {:>12.6} {:>12.6} {:>7.1}x {:>12} {:>12}",
                 p.batch,
                 if p.clustered { "clustered" } else { "uniform" },
-                p.seq_secs,
+                p.loop_secs,
                 p.bulk_secs,
-                p.seq_secs / p.bulk_secs,
-                p.seq_written,
+                p.loop_secs / p.bulk_secs,
+                p.loop_written,
                 p.report.coefficients_written,
             );
             points.push(p);
@@ -307,7 +312,7 @@ fn main() {
         .iter()
         .find(|p| p.clustered && p.batch == 4096)
         .unwrap();
-    let speedup = accept.seq_secs / accept.bulk_secs;
+    let speedup = accept.loop_secs / accept.bulk_secs;
     println!("\nacceptance (clustered 4096, m = 2^18): {speedup:.1}x (need ≥ 2x)");
 
     if let Some(path) = record {

@@ -5,49 +5,41 @@
 //! continuously. The wavelet structure makes re-publishing unnecessary:
 //! a single-cell increment changes only the leaf-to-root coefficient path
 //! of each dimension (the dual of
-//! [`query_weights`](crate::transform::Transform1d::query_weights), exposed
-//! as [`update_weights`](crate::transform::Transform1d::update_weights)),
-//! so the *exact* (pre-noise) coefficients can absorb row arrivals as
-//! sparse deltas — `∏ᵢ O(log mᵢ)` touched coefficients per increment
-//! instead of an O(m) forward transform.
+//! [`query_weights`](crate::transform::Transform1d::query_weights)), so
+//! the *exact* (pre-noise) coefficients can absorb row arrivals as sparse
+//! updates — `∏ᵢ O(log mᵢ)` touched coefficients per increment instead of
+//! an O(m) forward transform.
 //!
 //! **Bit-identity.** The acceptance contract for streaming is strict: after
 //! any number of increments, publishing an epoch must be bit-identical to
 //! [`publish_coefficients`](crate::mechanism::publish_coefficients) run
 //! from scratch on the updated table with the same seed. Naively *adding*
-//! `δ·update_weights` to the stored coefficients breaks this — float
+//! `δ·(forward column)` to the stored coefficients breaks this — float
 //! addition is not associative, so `(a + δ/f)` generally differs in the
 //! last ulp from recomputing the coefficient from updated sums. Instead,
-//! [`IncrementalRelease`] keeps each axis's intermediate *state* (the Haar
-//! averaging pyramid, the nominal leaf-sum array, the identity lane) and
-//! recomputes every touched value with expressions byte-for-byte identical
-//! to the forward kernels' own (`0.5 * (a + b)` / `0.5 * (a - b)`, the
-//! child-order `.sum()`, `ls − ls_parent / fanout`). The sparse-update
-//! *indices* are exactly `update_weights`' support; only the value
-//! arithmetic routes through the state.
+//! [`IncrementalRelease`] keeps every lane's kernel *state* — what
+//! [`Transform1d::forward`] leaves in its scratch (the Haar averaging
+//! pyramid, the nominal leaf-sums, the identity lane) — and hands dirty
+//! lanes to [`Transform1d::repair`], which recomputes the dependent nodes
+//! with the forward kernel's own expressions. The publish path and the
+//! ingest path run the same per-transform code; this module never looks
+//! at which transform an axis uses.
 //!
-//! **Coalesced bulk ingest.** A heavy-traffic stream delivers increments in
-//! batches whose coefficient paths overlap heavily — B arrivals into one
-//! hot region dirty far fewer than `B·∏ log mᵢ` distinct coefficients.
-//! [`apply_increments`](IncrementalRelease::apply_increments) absorbs a
-//! whole batch at a cost proportional to the *distinct dirty
-//! coefficients*: it validates the batch up front, coalesces duplicate
-//! cells, and propagates axis by axis over a **dirty set** — pending
-//! changes are grouped by lane, each dirty lane's kernel state is walked
-//! once, and every dirty coefficient is recomputed exactly once with the
-//! same per-node expressions as the sequential walk. Because each touched
-//! value is a pure function of the final child states, the result is
-//! **bit-identical** to an [`apply_increment`](IncrementalRelease::apply_increment)
-//! loop over the same batch in the same order (proptested in
-//! `tests/streaming_release.rs`); the only order-sensitive operations —
-//! the `+=` leaf additions of duplicate cells — are replayed in arrival
-//! order. The propagation works on flat linear indices in a reusable
-//! internal workspace (no per-touch coordinate-vector clones, no
-//! allocation once the buffers reach the batch's working-set size), and
-//! a lane whose distinct dirty-leaf count crosses the
-//! [`PRIVELET_BULK_LANE_CUTOVER`](BULK_LANE_CUTOVER_ENV) density cutover
-//! is recomputed with one contiguous whole-lane pass through the same
-//! kernel expressions instead of per-node pointer chasing.
+//! **Coalesced ingest.** Every ingest entry point — a single increment,
+//! a batch, a batch of rows — runs one propagation at a cost proportional
+//! to the *distinct dirty coefficients*: B arrivals into one hot region
+//! dirty far fewer than `B·∏ log mᵢ` coefficients. The batch is validated
+//! up front, duplicate cells coalesce, and the change propagates axis by
+//! axis over a **dirty set**: pending changes are grouped by lane, each
+//! dirty lane's leaves are written (duplicate cells' `+=` deltas replayed
+//! in arrival order, the only order-sensitive step) and the lane is
+//! repaired once. Because each recomputed value is a pure function of the
+//! final leaves, the exact tensor afterwards equals the dense forward
+//! transform of the updated table bit for bit, however the increments
+//! were split into batches (proptested in `tests/streaming_release.rs`).
+//! The propagation works on flat linear indices in a reusable internal
+//! workspace: no per-touch coordinate vectors, and no allocation once the
+//! buffers reach the batch's working-set size.
 //!
 //! **Epoch budgets.** Re-noising the same statistics k times is k releases
 //! of one mechanism: sequential composition sums the epsilons. A
@@ -55,9 +47,11 @@
 //! [`advance_epoch`](IncrementalRelease::advance_epoch) debits the epoch's
 //! ε *before* any noise is drawn and refuses with
 //! [`CoreError::BudgetExhausted`](crate::CoreError) —
-//! never a silent over-spend. Noise injection reuses the publishers'
-//! chunked weighted-Laplace seam, so an epoch's output coefficients are
-//! bit-identical to a from-scratch publish at the epoch's seed.
+//! never a silent over-spend. Exact coefficients that overflowed to ±∞ or
+//! NaN are refused the same way, before the debit. Noise injection reuses
+//! the publishers' chunked weighted-Laplace seam, so an epoch's output
+//! coefficients are bit-identical to a from-scratch publish at the
+//! epoch's seed.
 //!
 //! The sliding-window and exponentially-decayed-sum streaming variants
 //! are thin layers over the bulk primitive — see [`crate::streaming`].
@@ -69,274 +63,78 @@ use crate::transform::{DimTransform, HnTransform, Transform1d};
 use crate::{CoreError, Result};
 use privelet_data::schema::Schema;
 use privelet_data::FrequencyMatrix;
-use privelet_matrix::knob::env_usize_knob;
 use privelet_matrix::NdMatrix;
 use std::collections::BTreeSet;
 
-/// Environment knob naming the whole-lane recompute cutover as a dirty
-/// leaf *percentage* of the lane length (parsed through the shared
-/// warn-once [`knob`](privelet_matrix::knob) machinery): `0` forces the
-/// contiguous kernel path for every dirty lane, values above `100`
-/// disable it. Read once at [`IncrementalRelease::new`].
-pub const BULK_LANE_CUTOVER_ENV: &str = "PRIVELET_BULK_LANE_CUTOVER";
-
-/// Default whole-lane cutover: a dirty lane switches from per-node dirty
-/// walks to one contiguous kernel recompute when at least half its
-/// leaves are dirty — the point where the dirty closure approaches the
-/// whole coefficient tree and a linear pass beats pointer chasing.
-pub const DEFAULT_BULK_LANE_CUTOVER_PCT: usize = 50;
-
-/// Per-axis intermediate state of the staged forward transform, stored for
-/// every lane of that axis.
+/// Per-axis kernel state of the staged forward transform: every lane's
+/// [`Transform1d::state_len`] slots, one contiguous block per lane.
 ///
-/// Axis `i`'s state matrix has dimensions
-/// `(out₀, …, outᵢ₋₁, sᵢ, inᵢ₊₁, …, in_d)` — axes before `i` are already
-/// in the coefficient domain, axes after it still in the data domain —
-/// where `sᵢ` is the per-lane state length: `2·padded` for Haar (the
-/// averaging pyramid in heap layout, leaves at `m + x`, slot 0 unused),
-/// `node_count` for nominal (leaf-sums by node id), `|A|` for identity
-/// (the lane itself).
+/// Axis `i`'s lanes live in the mixed space
+/// `(out₀, …, outᵢ₋₁, ·, inᵢ₊₁, …, in_d)` — axes before `i` already in
+/// the coefficient domain, axes after it still in the data domain — and
+/// are numbered `outer · stride + inner`, where `stride` is the product
+/// of the trailing input dims. Lane `l`'s state is
+/// `data[l · state_len .. (l + 1) · state_len]`.
 #[derive(Debug, Clone)]
 struct AxisState {
-    axis: usize,
+    /// Element stride along the axis, shared by its input, output and
+    /// lane numbering (no axis step changes the trailing dims).
+    stride: usize,
+    state_len: usize,
     data: Vec<f64>,
-    strides: Vec<usize>,
 }
 
 impl AxisState {
-    /// Flat offset of a lane: every coordinate except the state axis.
-    fn lane_offset(&self, coords: &[usize]) -> usize {
-        coords
-            .iter()
-            .zip(&self.strides)
-            .enumerate()
-            .filter(|&(j, _)| j != self.axis)
-            .map(|(_, (&c, &s))| c * s)
-            .sum()
+    fn lane(&self, lane: usize) -> &[f64] {
+        &self.data[lane * self.state_len..(lane + 1) * self.state_len]
     }
-}
 
-fn row_major_strides(dims: &[usize]) -> Vec<usize> {
-    let mut strides = vec![1usize; dims.len()];
-    for j in (0..dims.len().saturating_sub(1)).rev() {
-        strides[j] = strides[j + 1] * dims[j + 1];
+    fn lane_mut(&mut self, lane: usize) -> &mut [f64] {
+        &mut self.data[lane * self.state_len..(lane + 1) * self.state_len]
     }
-    strides
-}
-
-/// Per-lane state length of one transform (see [`AxisState`]).
-fn state_len(t: &DimTransform) -> usize {
-    match t {
-        DimTransform::Haar(_) => 2 * t.output_len(),
-        DimTransform::Nominal(_) => t.output_len(),
-        DimTransform::Identity(_) => t.input_len(),
-    }
-}
-
-/// Initializes one lane's state from its input values and writes the
-/// lane's full coefficient output — the stateful equivalent of the forward
-/// kernel, using the kernel's exact float expressions.
-fn init_lane(t: &DimTransform, src: &[f64], state: &mut [f64], out: &mut [f64]) {
-    match t {
-        DimTransform::Haar(_) => {
-            let m = t.output_len();
-            state[0] = 0.0;
-            state[m..m + src.len()].copy_from_slice(src);
-            state[m + src.len()..].fill(0.0);
-            for j in (1..m).rev() {
-                // Identical to the kernel's level fold: 0.5 * (a + b).
-                state[j] = 0.5 * (state[2 * j] + state[2 * j + 1]);
-            }
-            out[0] = state[1];
-            for j in 1..m {
-                out[j] = 0.5 * (state[2 * j] - state[2 * j + 1]);
-            }
-        }
-        DimTransform::Nominal(nt) => {
-            let h = nt.hierarchy();
-            for (pos, &v) in src.iter().enumerate() {
-                state[h.leaf_node(pos)] = v;
-            }
-            for &id in h.level_order().iter().rev() {
-                if !h.is_leaf(id) {
-                    // Identical to the kernel's bottom-up sum.
-                    state[id] = h.children(id).iter().map(|&c| state[c]).sum();
-                }
-            }
-            for &id in h.level_order() {
-                let pos = h.level_order_pos(id);
-                out[pos] = match h.parent(id) {
-                    None => state[id],
-                    Some(p) => state[id] - state[p] / h.fanout(p) as f64,
-                };
-            }
-        }
-        DimTransform::Identity(_) => {
-            state.copy_from_slice(src);
-            out.copy_from_slice(src);
-        }
-    }
-}
-
-/// Applies one change to a lane's state and returns the touched output
-/// positions with their recomputed values — bit-identical to what a
-/// from-scratch forward of the updated lane would produce at those
-/// positions. `is_delta` distinguishes the data-domain entry axis (the
-/// increment adds to the stored value) from propagated absolute values.
-fn update_lane(
-    t: &DimTransform,
-    state: &mut [f64],
-    stride: usize,
-    offset: usize,
-    pos: usize,
-    value: f64,
-    is_delta: bool,
-) -> Vec<(usize, f64)> {
-    let idx = |k: usize| offset + k * stride;
-    let mut out = Vec::new();
-    match t {
-        DimTransform::Haar(_) => {
-            let m = t.output_len();
-            if is_delta {
-                state[idx(m + pos)] += value;
-            } else {
-                state[idx(m + pos)] = value;
-            }
-            let mut j = (m + pos) >> 1;
-            while j >= 1 {
-                let a = state[idx(2 * j)];
-                let b = state[idx(2 * j + 1)];
-                state[idx(j)] = 0.5 * (a + b);
-                out.push((j, 0.5 * (a - b)));
-                j >>= 1;
-            }
-            out.push((0, state[idx(1)]));
-        }
-        DimTransform::Nominal(nt) => {
-            let h = nt.hierarchy();
-            let leaf = h.leaf_node(pos);
-            if is_delta {
-                state[idx(leaf)] += value;
-            } else {
-                state[idx(leaf)] = value;
-            }
-            let mut path = vec![leaf];
-            let mut node = leaf;
-            while let Some(p) = h.parent(node) {
-                state[idx(p)] = h.children(p).iter().map(|&c| state[idx(c)]).sum();
-                path.push(p);
-                node = p;
-            }
-            // `node` is now the root.
-            out.push((h.level_order_pos(node), state[idx(node)]));
-            // A path node's leaf-sum feeds the coefficient of *every*
-            // child of that node, so whole sibling groups re-derive.
-            for &p in path.iter().skip(1) {
-                let f = h.fanout(p) as f64;
-                let lsp = state[idx(p)];
-                for &c in h.children(p) {
-                    out.push((h.level_order_pos(c), state[idx(c)] - lsp / f));
-                }
-            }
-        }
-        DimTransform::Identity(_) => {
-            if is_delta {
-                state[idx(pos)] += value;
-            } else {
-                state[idx(pos)] = value;
-            }
-            out.push((pos, state[idx(pos)]));
-        }
-    }
-    out
 }
 
 /// Runs the staged forward pipeline over `table` (row-major over the
-/// transform's input dims), producing every axis's per-lane kernel state
-/// and the final coefficient values. The per-lane math is the forward
-/// kernels' own, so the final values are bit-identical to
-/// `transform.forward` on the same table.
+/// transform's input dims), keeping every axis's per-lane kernel state,
+/// and returns the states with the final coefficients and their dims.
+/// Each lane goes through [`Transform1d::forward`] itself, so the
+/// coefficients are bit-identical to `transform.forward` on the table.
 fn staged_forward(
     transform: &HnTransform,
     table: Vec<f64>,
 ) -> (Vec<AxisState>, Vec<f64>, Vec<usize>) {
-    let d = transform.ndim();
-    let mut cur_dims = transform.input_dims();
+    let mut dims = transform.input_dims();
     let mut cur = table;
-    let mut states = Vec::with_capacity(d);
+    let mut states = Vec::with_capacity(dims.len());
     for (axis, t) in transform.transforms().iter().enumerate() {
-        let n = t.input_len();
-        let out_n = t.output_len();
-        let s_n = state_len(t);
-        let mut state_dims = cur_dims.clone();
-        state_dims[axis] = s_n;
-        let mut out_dims = cur_dims.clone();
-        out_dims[axis] = out_n;
-        let in_strides = row_major_strides(&cur_dims);
-        let state_strides = row_major_strides(&state_dims);
-        let out_strides = row_major_strides(&out_dims);
+        let (n, out_n, state_len) = (t.input_len(), t.output_len(), t.state_len());
+        let stride: usize = dims[axis + 1..].iter().product();
+        let lanes = cur.len() / n;
         let mut state = AxisState {
-            axis,
-            data: vec![0.0f64; state_dims.iter().product()],
-            strides: state_strides,
+            stride,
+            state_len,
+            data: vec![0.0f64; lanes * state_len],
         };
-        let mut out = vec![0.0f64; out_dims.iter().product()];
-
-        let mut src_lane = vec![0.0f64; n];
-        let mut state_lane = vec![0.0f64; s_n];
-        let mut out_lane = vec![0.0f64; out_n];
-        // Odometer over every lane (all coords with the axis fixed).
-        let mut coords = vec![0usize; d];
-        loop {
-            let in_off: usize = coords
-                .iter()
-                .zip(&in_strides)
-                .enumerate()
-                .filter(|&(j, _)| j != axis)
-                .map(|(_, (&c, &s))| c * s)
-                .sum();
-            for (k, slot) in src_lane.iter_mut().enumerate() {
-                *slot = cur[in_off + k * in_strides[axis]];
+        let mut out = vec![0.0f64; lanes * out_n];
+        let mut src = vec![0.0f64; n];
+        let mut dst = vec![0.0f64; out_n];
+        for lane in 0..lanes {
+            let (outer, inner) = (lane / stride, lane % stride);
+            let in_base = outer * n * stride + inner;
+            for (k, v) in src.iter_mut().enumerate() {
+                *v = cur[in_base + k * stride];
             }
-            init_lane(t, &src_lane, &mut state_lane, &mut out_lane);
-            let st_off = state.lane_offset(&coords);
-            for (k, &v) in state_lane.iter().enumerate() {
-                state.data[st_off + k * state.strides[axis]] = v;
-            }
-            let out_off: usize = coords
-                .iter()
-                .zip(&out_strides)
-                .enumerate()
-                .filter(|&(j, _)| j != axis)
-                .map(|(_, (&c, &s))| c * s)
-                .sum();
-            for (k, &v) in out_lane.iter().enumerate() {
-                out[out_off + k * out_strides[axis]] = v;
-            }
-            // Advance the odometer, skipping the lane axis.
-            let mut j = d;
-            let mut done = true;
-            while j > 0 {
-                j -= 1;
-                if j == axis {
-                    continue;
-                }
-                coords[j] += 1;
-                if coords[j] < cur_dims[j] {
-                    done = false;
-                    break;
-                }
-                coords[j] = 0;
-            }
-            if done {
-                break;
+            t.forward(&src, &mut dst, state.lane_mut(lane));
+            let out_base = outer * out_n * stride + inner;
+            for (k, &v) in dst.iter().enumerate() {
+                out[out_base + k * stride] = v;
             }
         }
         states.push(state);
+        dims[axis] = out_n;
         cur = out;
-        cur_dims = out_dims;
     }
-    (states, cur, cur_dims)
+    (states, cur, dims)
 }
 
 /// Saturating `∏ᵢ max_update_support(i)`: a 5-dim schema of wide nominal
@@ -349,6 +147,12 @@ fn saturating_touch_bound(transforms: &[DimTransform]) -> usize {
         .fold(1usize, usize::saturating_mul)
 }
 
+/// The first non-finite value, if any — the overflow guard shared by
+/// [`IncrementalRelease::decay`] and [`IncrementalRelease::advance_epoch`].
+fn first_non_finite<'a>(values: impl IntoIterator<Item = &'a f64>) -> Option<f64> {
+    values.into_iter().copied().find(|v| !v.is_finite())
+}
+
 /// Diagnostics of one bulk batch: how much duplicate-cell coalescing and
 /// dirty-path sharing actually saved, observable by callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -358,9 +162,9 @@ pub struct IngestReport {
     /// Duplicate-cell arrivals merged onto an already-dirty cell —
     /// `increments` minus the distinct cells the batch touched.
     pub coalesced_cells: usize,
-    /// Distinct coefficients written — the dirty-set size, which a
-    /// sequential [`apply_increment`](IncrementalRelease::apply_increment)
-    /// loop would have written at least this many times.
+    /// Distinct coefficients written — the dirty-set size, which a loop
+    /// of single [`apply_increment`](IncrementalRelease::apply_increment)
+    /// calls would have written at least this many times.
     pub coefficients_written: usize,
     /// Tightened per-batch bound: `distinct cells × per-increment touch
     /// bound`, saturating, capped at the coefficient-tensor size.
@@ -370,8 +174,8 @@ pub struct IngestReport {
 
 /// One pending change, lane-decomposed: `lane` keys the grouping,
 /// `pos` is the coordinate along the axis being processed, `seq`
-/// preserves arrival order so duplicate-cell `+=` replays match the
-/// sequential loop bit for bit.
+/// preserves arrival order so duplicate-cell `+=` replays follow the
+/// order the increments were submitted in.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     lane: usize,
@@ -380,27 +184,11 @@ struct Entry {
     value: f64,
 }
 
-/// Per-lane scratch for the dirty walk, reused across lanes and batches.
-#[derive(Debug, Clone, Default)]
-struct LaneScratch {
-    /// Dirty-node marks, indexed by state slot (heap node for Haar,
-    /// hierarchy node id for nominal); cleared via `marked` after each
-    /// lane so clearing costs O(dirty), not O(lane).
-    marks: Vec<bool>,
-    /// The marked nodes of the lane in hand.
-    marked: Vec<usize>,
-    /// Contiguous lane buffers for whole-lane kernel recomputes.
-    src_lane: Vec<f64>,
-    state_lane: Vec<f64>,
-    out_lane: Vec<f64>,
-}
-
 /// Dirty-set workspace reused across batches — the bulk-ingest analogue
 /// of `LaneExecutor`'s ping-pong buffers. Changes travel as flat linear
 /// indices in the mixed space (coefficient coordinates on processed
-/// axes, data coordinates on the rest); no per-touch coordinate vectors
-/// are cloned, and nothing allocates once the buffers have grown to the
-/// batch's working-set size.
+/// axes, data coordinates on the rest); nothing allocates once the
+/// buffers have grown to the batch's working-set size.
 #[derive(Debug, Clone, Default)]
 struct BatchWorkspace {
     /// Changes entering the current axis: `(linear index, value)` where
@@ -410,195 +198,18 @@ struct BatchWorkspace {
     entries: Vec<Entry>,
     /// Changes emitted for the next axis.
     next: Vec<(usize, f64)>,
-    scratch: LaneScratch,
+    /// The dirty leaf slots of the lane in hand — the work list
+    /// [`Transform1d::repair`] consumes.
+    dirty: Vec<usize>,
 }
 
-/// Geometry + mode of one dirty lane.
-#[derive(Debug, Clone, Copy)]
-struct LaneCtx {
-    /// Element stride along the axis (the inner block size).
-    stride: usize,
-    /// Flat offset of the lane's slot 0 in the axis state.
-    state_base: usize,
-    /// Flat offset of the lane's position 0 in the axis output space.
-    out_base: usize,
-    /// Entry axis: changes are `+=` deltas, not absolute assignments.
-    is_delta: bool,
-    /// Whole-lane recompute density cutover, in percent of lane length.
-    cutover_pct: usize,
-}
-
-/// Whole-lane cutover predicate: switch to the contiguous kernel
-/// recompute when the distinct dirty leaves reach `pct`% of the lane.
-/// `0` always switches; anything above `100` never does. Saturating so a
-/// `usize::MAX` knob can't wrap into "always".
-fn whole_lane(distinct: usize, input_len: usize, pct: usize) -> bool {
-    distinct.saturating_mul(100) >= pct.saturating_mul(input_len)
-}
-
-/// Processes one dirty lane of one axis: applies the lane's pending
-/// changes to the kernel state (duplicate positions replayed in arrival
-/// order), recomputes every dirty node **exactly once** bottom-up with
-/// the kernels' own float expressions — or, past the density cutover,
-/// with one contiguous [`init_lane`] pass, which computes the identical
-/// bits because every node value is the same pure function of the final
-/// leaf states — and emits the dirty output positions into `next`.
-/// Returns the lane's distinct dirty position count (on axis 0: distinct
-/// cells after coalescing).
-fn process_lane(
-    t: &DimTransform,
-    state: &mut [f64],
-    ctx: LaneCtx,
-    group: &[Entry],
-    scratch: &mut LaneScratch,
-    next: &mut Vec<(usize, f64)>,
-) -> usize {
-    let sidx = |k: usize| ctx.state_base + k * ctx.stride;
-    let oidx = |q: usize| ctx.out_base + q * ctx.stride;
-    let LaneScratch {
-        marks,
-        marked,
-        src_lane,
-        state_lane,
-        out_lane,
-    } = scratch;
-    marked.clear();
-    let mut distinct = 0usize;
-    match t {
-        DimTransform::Haar(_) => {
-            let m = t.output_len();
-            let mut gi = 0usize;
-            while gi < group.len() {
-                let pos = group[gi].pos;
-                distinct += 1;
-                let li = sidx(m + pos);
-                while gi < group.len() && group[gi].pos == pos {
-                    if ctx.is_delta {
-                        state[li] += group[gi].value;
-                    } else {
-                        state[li] = group[gi].value;
-                    }
-                    gi += 1;
-                }
-                let mut j = (m + pos) >> 1;
-                while j >= 1 && !marks[j] {
-                    marks[j] = true;
-                    marked.push(j);
-                    j >>= 1;
-                }
-            }
-            if whole_lane(distinct, t.input_len(), ctx.cutover_pct) {
-                src_lane.clear();
-                src_lane.extend((0..t.input_len()).map(|k| state[sidx(m + k)]));
-                state_lane.resize(2 * m, 0.0);
-                out_lane.resize(m, 0.0);
-                init_lane(t, src_lane, state_lane, out_lane);
-                for (k, &v) in state_lane.iter().enumerate() {
-                    state[sidx(k)] = v;
-                }
-                for &j in marked.iter() {
-                    next.push((oidx(j), out_lane[j]));
-                }
-                next.push((ctx.out_base, out_lane[0]));
-            } else {
-                // Descending heap index = children before parents.
-                marked.sort_unstable_by(|a, b| b.cmp(a));
-                for &j in marked.iter() {
-                    let a = state[sidx(2 * j)];
-                    let b = state[sidx(2 * j + 1)];
-                    state[sidx(j)] = 0.5 * (a + b);
-                    next.push((oidx(j), 0.5 * (a - b)));
-                }
-                // Base coefficient = the root average (slot 1; for m == 1
-                // slot 1 *is* the single leaf), as in the sequential walk.
-                next.push((ctx.out_base, state[sidx(1)]));
-            }
-        }
-        DimTransform::Nominal(nt) => {
-            let h = nt.hierarchy();
-            let mut gi = 0usize;
-            while gi < group.len() {
-                let pos = group[gi].pos;
-                distinct += 1;
-                let li = sidx(h.leaf_node(pos));
-                while gi < group.len() && group[gi].pos == pos {
-                    if ctx.is_delta {
-                        state[li] += group[gi].value;
-                    } else {
-                        state[li] = group[gi].value;
-                    }
-                    gi += 1;
-                }
-                let mut node = h.leaf_node(pos);
-                while let Some(p) = h.parent(node) {
-                    if marks[p] {
-                        break;
-                    }
-                    marks[p] = true;
-                    marked.push(p);
-                    node = p;
-                }
-            }
-            if whole_lane(distinct, t.input_len(), ctx.cutover_pct) {
-                src_lane.clear();
-                src_lane.extend((0..h.leaf_count()).map(|k| state[sidx(h.leaf_node(k))]));
-                state_lane.resize(h.node_count(), 0.0);
-                out_lane.resize(h.node_count(), 0.0);
-                init_lane(t, src_lane, state_lane, out_lane);
-                for (k, &v) in state_lane.iter().enumerate() {
-                    state[sidx(k)] = v;
-                }
-                let root_pos = h.level_order_pos(h.root());
-                next.push((oidx(root_pos), out_lane[root_pos]));
-                for &p in marked.iter() {
-                    for &c in h.children(p) {
-                        let q = h.level_order_pos(c);
-                        next.push((oidx(q), out_lane[q]));
-                    }
-                }
-            } else {
-                // Deeper level-order positions first = children before
-                // parents (level order is breadth-first from the root).
-                marked.sort_unstable_by_key(|&id| std::cmp::Reverse(h.level_order_pos(id)));
-                for &p in marked.iter() {
-                    state[sidx(p)] = h.children(p).iter().map(|&c| state[sidx(c)]).sum();
-                }
-                let root = h.root();
-                next.push((oidx(h.level_order_pos(root)), state[sidx(root)]));
-                // A dirty leaf-sum feeds the coefficient of every child of
-                // that node, so whole sibling groups re-derive — exactly
-                // the union of the sequential walks' emissions.
-                for &p in marked.iter() {
-                    let f = h.fanout(p) as f64;
-                    let lsp = state[sidx(p)];
-                    for &c in h.children(p) {
-                        next.push((oidx(h.level_order_pos(c)), state[sidx(c)] - lsp / f));
-                    }
-                }
-            }
-        }
-        DimTransform::Identity(_) => {
-            let mut gi = 0usize;
-            while gi < group.len() {
-                let pos = group[gi].pos;
-                distinct += 1;
-                let li = sidx(pos);
-                while gi < group.len() && group[gi].pos == pos {
-                    if ctx.is_delta {
-                        state[li] += group[gi].value;
-                    } else {
-                        state[li] = group[gi].value;
-                    }
-                    gi += 1;
-                }
-                next.push((oidx(pos), state[li]));
-            }
-        }
-    }
-    for &id in marked.iter() {
-        marks[id] = false;
-    }
-    distinct
+/// A rebuilt kernel state and exact tensor, validated but not yet
+/// installed — lets a decay be checked before the epoch that precedes it
+/// spends any budget.
+#[derive(Debug)]
+pub(crate) struct Rebuild {
+    states: Vec<AxisState>,
+    exact: NdMatrix,
 }
 
 /// A streaming release: the exact (pre-noise) HN coefficients of a live
@@ -621,7 +232,6 @@ pub struct IncrementalRelease {
     ledger: BudgetLedger,
     latest: Option<CoefficientOutput>,
     workspace: BatchWorkspace,
-    lane_cutover_pct: usize,
 }
 
 impl IncrementalRelease {
@@ -632,15 +242,8 @@ impl IncrementalRelease {
     pub fn new(fm: &FrequencyMatrix, sa: &BTreeSet<usize>, total_epsilon: f64) -> Result<Self> {
         let transform = HnTransform::for_schema(fm.schema(), sa)?;
         let ledger = BudgetLedger::new(total_epsilon)?;
-        // Staged forward pipeline, one axis at a time, capturing each
-        // axis's per-lane state.
         let (states, data, dims) = staged_forward(&transform, fm.matrix().as_slice().to_vec());
         let exact = NdMatrix::from_vec(&dims, data)?;
-        let lane_cutover_pct = env_usize_knob(
-            BULK_LANE_CUTOVER_ENV,
-            "a dirty-leaf percentage",
-            DEFAULT_BULK_LANE_CUTOVER_PCT,
-        );
         Ok(IncrementalRelease {
             schema: fm.schema().clone(),
             transform,
@@ -649,7 +252,6 @@ impl IncrementalRelease {
             ledger,
             latest: None,
             workspace: BatchWorkspace::default(),
-            lane_cutover_pct,
         })
     }
 
@@ -685,21 +287,6 @@ impl IncrementalRelease {
         self.ledger.epochs()
     }
 
-    /// Overrides the whole-lane recompute cutover (percent of a lane's
-    /// leaves that must be dirty; `0` = always, `> 100` = never),
-    /// normally read from [`PRIVELET_BULK_LANE_CUTOVER`](BULK_LANE_CUTOVER_ENV).
-    /// Both modes are bit-identical — this is a performance knob and a
-    /// test seam, never a semantics switch.
-    pub fn with_lane_cutover_pct(mut self, pct: usize) -> Self {
-        self.lane_cutover_pct = pct;
-        self
-    }
-
-    /// The active whole-lane recompute cutover, in percent.
-    pub fn lane_cutover_pct(&self) -> usize {
-        self.lane_cutover_pct
-    }
-
     /// Upper bound on coefficients touched by one increment:
     /// `∏ᵢ max_update_support(i)` (for all-ordinal schemas this is the
     /// `∏ᵢ (⌈log₂ mᵢ⌉ + 1)` of the paper's Haar path analysis). The
@@ -708,9 +295,9 @@ impl IncrementalRelease {
         saturating_touch_bound(self.transform.transforms())
     }
 
-    /// Validation shared by the single-increment and bulk paths — wrong
-    /// arity, an out-of-domain coordinate or a non-finite delta is an
-    /// `Err`, never a panic or a poisoned coefficient.
+    /// Validation shared by every ingest entry point — wrong arity, an
+    /// out-of-domain coordinate or a non-finite delta is an `Err`, never
+    /// a panic or a poisoned coefficient.
     fn validate_increment(&self, cell: &[usize], delta: f64) -> Result<()> {
         let d = self.transform.ndim();
         if cell.len() != d {
@@ -735,60 +322,16 @@ impl IncrementalRelease {
         Ok(())
     }
 
-    /// Absorbs `delta` added to table cell `cell`, updating the exact
-    /// coefficients sparsely. Returns the number of coefficients written
-    /// (≤ [`touch_bound`](Self::touch_bound)).
-    ///
-    /// This is the sequential reference path;
-    /// [`apply_increments`](Self::apply_increments) absorbs batches at
-    /// the cost of the *distinct* dirty coefficients and is pinned
-    /// bit-identical to a loop over this method.
+    /// Absorbs `delta` added to table cell `cell` — a batch of one through
+    /// [`apply_increments`](Self::apply_increments). Returns the number
+    /// of coefficients written (≤ [`touch_bound`](Self::touch_bound)).
     ///
     /// Errors (changing nothing) on a cell of the wrong arity or outside
     /// the domain, and with [`CoreError::NonFiniteDelta`] on a NaN or
     /// infinite `delta`.
     pub fn apply_increment(&mut self, cell: &[usize], delta: f64) -> Result<usize> {
-        self.validate_increment(cell, delta)?;
-
-        // Propagate the change axis by axis. Entering axis i, every
-        // pending change has coefficient coordinates on axes < i and the
-        // cell's data coordinates on axes ≥ i; axis i rewrites its own
-        // coordinate into each touched output position. Only axis 0 sees
-        // a delta — later axes receive recomputed absolute values.
-        let (transforms, states) = (self.transform.transforms(), &mut self.states);
-        let mut changes: Vec<(Vec<usize>, f64)> = vec![(cell.to_vec(), delta)];
-        for (axis, t) in transforms.iter().enumerate() {
-            let state = &mut states[axis];
-            let stride = state.strides[axis];
-            let mut next = Vec::with_capacity(changes.len());
-            for (coords, value) in &changes {
-                let offset = state.lane_offset(coords);
-                let touched = update_lane(
-                    t,
-                    &mut state.data,
-                    stride,
-                    offset,
-                    coords[axis],
-                    *value,
-                    axis == 0,
-                );
-                for (q, v) in touched {
-                    let mut out_coords = coords.clone();
-                    out_coords[axis] = q;
-                    next.push((out_coords, v));
-                }
-            }
-            changes = next;
-        }
-
-        let strides = self.exact.shape().strides().to_vec();
-        let slab = self.exact.as_mut_slice();
-        let written = changes.len();
-        for (coords, v) in changes {
-            let lin: usize = coords.iter().zip(&strides).map(|(&c, &s)| c * s).sum();
-            slab[lin] = v;
-        }
-        Ok(written)
+        let report = self.ingest(std::iter::once((cell, delta)))?;
+        Ok(report.coefficients_written)
     }
 
     /// Absorbs a whole batch of `(cell, delta)` increments at a cost
@@ -796,133 +339,134 @@ impl IncrementalRelease {
     /// `batch × ∏ log mᵢ`: the batch is validated up front (a bad cell
     /// or a non-finite delta rejects it before *any* state changes),
     /// duplicate cells coalesce onto one dirty path (their `+=` deltas
-    /// replay in arrival order), and each axis walks every dirty lane's
-    /// kernel state once, recomputing each dirty coefficient exactly
-    /// once.
+    /// replay in arrival order), and each axis repairs every dirty lane
+    /// once, recomputing each dirty coefficient exactly once.
     ///
-    /// The exact coefficient tensor afterwards is **bit-identical** to an
-    /// [`apply_increment`](Self::apply_increment) loop over the same
-    /// batch in order (every recomputed node is the same pure float
-    /// expression of the same final leaf states), and the returned
-    /// [`IngestReport`] shows what coalescing saved.
+    /// The exact coefficient tensor afterwards is **bit-identical** to the
+    /// dense forward transform of the updated table — and so to any split
+    /// of the same increments into smaller batches, single increments
+    /// included. The returned [`IngestReport`] shows what coalescing
+    /// saved.
     pub fn apply_increments(&mut self, increments: &[(Vec<usize>, f64)]) -> Result<IngestReport> {
-        for (cell, delta) in increments {
-            self.validate_increment(cell, *delta)?;
-        }
-        let in_strides = row_major_strides(&self.transform.input_dims());
-        self.workspace.pending.clear();
-        for (cell, delta) in increments {
-            let lin: usize = cell.iter().zip(&in_strides).map(|(&c, &s)| c * s).sum();
-            self.workspace.pending.push((lin, *delta));
-        }
-        self.bulk_apply_pending()
+        self.ingest(
+            increments
+                .iter()
+                .map(|(cell, delta)| (cell.as_slice(), *delta)),
+        )
     }
 
     /// Absorbs a batch of row arrivals (each row is `+1` at its cell)
     /// through the coalesced bulk path — rows hitting the same cell share
     /// one dirty walk.
     pub fn apply_rows(&mut self, rows: &[Vec<usize>]) -> Result<IngestReport> {
-        for row in rows {
-            self.validate_increment(row, 1.0)?;
+        self.ingest(rows.iter().map(|row| (row.as_slice(), 1.0)))
+    }
+
+    /// The one ingest path: validates the whole batch, linearizes it into
+    /// the workspace, and propagates it.
+    fn ingest<'a, I>(&mut self, batch: I) -> Result<IngestReport>
+    where
+        I: Iterator<Item = (&'a [usize], f64)> + Clone,
+    {
+        for (cell, delta) in batch.clone() {
+            self.validate_increment(cell, delta)?;
         }
-        let in_strides = row_major_strides(&self.transform.input_dims());
+        // Axis i's stride is the product of the trailing input dims — the
+        // row-major input stride of coordinate i.
+        let states = &self.states;
         self.workspace.pending.clear();
-        for row in rows {
-            let lin: usize = row.iter().zip(&in_strides).map(|(&c, &s)| c * s).sum();
-            self.workspace.pending.push((lin, 1.0));
-        }
-        self.bulk_apply_pending()
+        self.workspace.pending.extend(batch.map(|(cell, delta)| {
+            let lin = cell.iter().zip(states).map(|(&c, s)| c * s.stride).sum();
+            (lin, delta)
+        }));
+        Ok(self.propagate_pending())
     }
 
     /// The dirty-set propagation over `workspace.pending` (already
     /// validated and linearized). See the module docs for the design.
-    fn bulk_apply_pending(&mut self) -> Result<IngestReport> {
+    fn propagate_pending(&mut self) -> IngestReport {
         let increments = self.workspace.pending.len();
-        let cutover_pct = self.lane_cutover_pct;
         let mut distinct_cells = 0usize;
-        {
-            let Self {
-                ref transform,
-                ref mut states,
-                ref mut workspace,
-                ..
-            } = *self;
-            let BatchWorkspace {
-                pending,
-                entries,
-                next,
-                scratch,
-            } = workspace;
-            for (axis, t) in transform.transforms().iter().enumerate() {
-                let state = &mut states[axis];
-                // The element stride along the axis (= the inner block) is
-                // the product of the trailing dims, which no axis step
-                // changes — shared by the input, state, and output spaces.
-                let stride = state.strides[axis];
-                let in_n = t.input_len();
-                let out_n = t.output_len();
-                let s_n = state_len(t);
-                if scratch.marks.len() < s_n {
-                    scratch.marks.resize(s_n, false);
+        let Self {
+            transform,
+            states,
+            workspace,
+            exact,
+            ..
+        } = self;
+        let BatchWorkspace {
+            pending,
+            entries,
+            next,
+            dirty,
+        } = workspace;
+        for (axis, (t, state)) in transform.transforms().iter().zip(states).enumerate() {
+            let t = t.as_transform();
+            let stride = state.stride;
+            let out_n = t.output_len();
+            let chunk = t.input_len() * stride;
+            entries.clear();
+            entries.extend(pending.iter().enumerate().map(|(seq, &(lin, value))| {
+                let (outer, rem) = (lin / chunk, lin % chunk);
+                Entry {
+                    lane: outer * stride + rem % stride,
+                    pos: rem / stride,
+                    seq,
+                    value,
                 }
-                let chunk = in_n * stride;
-                entries.clear();
-                for (seq, &(lin, value)) in pending.iter().enumerate() {
-                    let outer = lin / chunk;
-                    let rem = lin % chunk;
-                    entries.push(Entry {
-                        lane: outer * stride + rem % stride,
-                        pos: rem / stride,
-                        seq,
-                        value,
-                    });
-                }
-                // Total order (seq is unique), so the unstable sort is
-                // deterministic and allocation-free.
-                entries.sort_unstable_by_key(|e| (e.lane, e.pos, e.seq));
-                next.clear();
-                let is_delta = axis == 0;
-                let mut i = 0usize;
-                while i < entries.len() {
-                    let lane = entries[i].lane;
-                    let mut j = i + 1;
-                    while j < entries.len() && entries[j].lane == lane {
-                        j += 1;
+            }));
+            // Total order (seq is unique), so the unstable sort is
+            // deterministic and allocation-free.
+            entries.sort_unstable_by_key(|e| (e.lane, e.pos, e.seq));
+            next.clear();
+            // Only axis 0 sees deltas; later axes receive recomputed
+            // absolute values.
+            let is_delta = axis == 0;
+            for group in entries.chunk_by(|a, b| a.lane == b.lane) {
+                let lane = group[0].lane;
+                let lane_state = state.lane_mut(lane);
+                dirty.clear();
+                for e in group {
+                    let slot = t.leaf_slot(e.pos);
+                    if dirty.last() != Some(&slot) {
+                        dirty.push(slot);
                     }
-                    let outer = lane / stride;
-                    let inner = lane % stride;
-                    let ctx = LaneCtx {
-                        stride,
-                        state_base: outer * s_n * stride + inner,
-                        out_base: outer * out_n * stride + inner,
-                        is_delta,
-                        cutover_pct,
-                    };
-                    let dc = process_lane(t, &mut state.data, ctx, &entries[i..j], scratch, next);
                     if is_delta {
-                        distinct_cells += dc;
+                        lane_state[slot] += e.value;
+                    } else {
+                        lane_state[slot] = e.value;
                     }
-                    i = j;
                 }
-                std::mem::swap(pending, next);
+                if is_delta {
+                    distinct_cells += dirty.len();
+                }
+                // Repair appends lane-local positions; rebase them onto
+                // the next axis's linear index space.
+                let emitted = next.len();
+                t.repair(lane_state, dirty, next);
+                let out_base = (lane / stride) * out_n * stride + lane % stride;
+                for change in &mut next[emitted..] {
+                    change.0 = out_base + change.0 * stride;
+                }
             }
+            std::mem::swap(pending, next);
         }
         // The surviving pending set is the distinct dirty coefficients,
         // as linear indices into the (row-major) exact tensor.
-        let slab = self.exact.as_mut_slice();
-        for &(lin, v) in &self.workspace.pending {
+        let slab = exact.as_mut_slice();
+        for &(lin, v) in pending.iter() {
             slab[lin] = v;
         }
-        let written = self.workspace.pending.len();
-        let per_increment = saturating_touch_bound(self.transform.transforms());
+        let written = pending.len();
+        let per_increment = saturating_touch_bound(transform.transforms());
         let bound = distinct_cells.saturating_mul(per_increment).min(slab.len());
         debug_assert!(written <= bound || increments == 0);
-        Ok(IngestReport {
+        IngestReport {
             increments,
             coalesced_cells: increments - distinct_cells,
             coefficients_written: written,
             touch_bound: bound,
-        })
+        }
     }
 
     /// Exponential decay: scales the maintained table by `alpha` and
@@ -939,7 +483,20 @@ impl IncrementalRelease {
     /// were scaled by the same `α · x` expression (pinned in
     /// `tests/streaming_release.rs`). Cost is one forward, the same
     /// linear pass [`new`](Self::new) runs.
+    ///
+    /// Errors with [`CoreError::BadDecayFactor`] on a non-finite or
+    /// non-positive `alpha`, and with [`CoreError::NonFiniteExact`] when
+    /// the scaled table overflows (a rebuilt state or coefficient is ±∞
+    /// or NaN); either way the release is left unchanged.
     pub fn decay(&mut self, alpha: f64) -> Result<()> {
+        let rebuild = self.decayed(alpha)?;
+        self.install(rebuild);
+        Ok(())
+    }
+
+    /// The validated [`decay`](Self::decay) rebuild, without installing
+    /// it.
+    pub(crate) fn decayed(&self, alpha: f64) -> Result<Rebuild> {
         if !alpha.is_finite() || alpha <= 0.0 {
             return Err(CoreError::BadDecayFactor(alpha));
         }
@@ -948,9 +505,18 @@ impl IncrementalRelease {
             *v *= alpha;
         }
         let (states, data, dims) = staged_forward(&self.transform, table);
-        self.states = states;
-        self.exact = NdMatrix::from_vec(&dims, data)?;
-        Ok(())
+        let all_state = states.iter().flat_map(|s| &s.data);
+        if let Some(v) = first_non_finite(all_state.chain(&data)) {
+            return Err(CoreError::NonFiniteExact(v));
+        }
+        let exact = NdMatrix::from_vec(&dims, data)?;
+        Ok(Rebuild { states, exact })
+    }
+
+    /// Installs a rebuild from [`decayed`](Self::decayed).
+    pub(crate) fn install(&mut self, rebuild: Rebuild) {
+        self.states = rebuild.states;
+        self.exact = rebuild.exact;
     }
 
     /// The current (pre-noise) data-domain table, read back from axis 0's
@@ -958,35 +524,26 @@ impl IncrementalRelease {
     fn current_table(&self) -> Vec<f64> {
         let t0 = &self.transform.transforms()[0];
         let state = &self.states[0];
-        // Axis 0 is outermost, so lin = pos·stride + inner with no outer
-        // part, and the trailing stride is shared with the state space.
-        let stride = state.strides[0];
-        let in_dims = self.transform.input_dims();
-        let total: usize = in_dims.iter().product();
-        (0..total)
-            .map(|lin| {
-                let pos = lin / stride;
-                let inner = lin % stride;
-                let slot = match t0 {
-                    DimTransform::Haar(_) => t0.output_len() + pos,
-                    DimTransform::Nominal(nt) => nt.hierarchy().leaf_node(pos),
-                    DimTransform::Identity(_) => pos,
-                };
-                state.data[inner + slot * stride]
-            })
+        // Axis 0 is outermost, so lin = pos·stride + lane.
+        (0..t0.input_len() * state.stride)
+            .map(|lin| state.lane(lin % state.stride)[t0.leaf_slot(lin / state.stride)])
             .collect()
     }
 
-    /// Publishes one epoch: debits `epoch_epsilon` from the lifetime
-    /// budget (refusing with
-    /// [`CoreError::BudgetExhausted`](crate::CoreError)
-    /// **before any noise is drawn**), then draws fresh weighted Laplace
-    /// noise at `seed` over a copy of the exact coefficients through the
-    /// publishers' shared injection seam — so the output is bit-identical
+    /// Publishes one epoch: refuses with [`CoreError::NonFiniteExact`] if
+    /// any exact coefficient overflowed to ±∞ or NaN, then debits
+    /// `epoch_epsilon` from the lifetime budget (refusing with
+    /// [`CoreError::BudgetExhausted`](crate::CoreError)) — both **before
+    /// any noise is drawn** — then draws fresh weighted Laplace noise at
+    /// `seed` over a copy of the exact coefficients through the
+    /// publishers' shared injection seam, so the output is bit-identical
     /// to `publish_coefficients` run from scratch on the current table
     /// with the same seed and ε.
     pub fn advance_epoch(&mut self, epoch_epsilon: f64, seed: u64) -> Result<CoefficientOutput> {
         let meta = PrivacyMeta::for_transform(&self.transform, epoch_epsilon)?;
+        if let Some(v) = first_non_finite(self.exact.as_slice()) {
+            return Err(CoreError::NonFiniteExact(v));
+        }
         self.ledger.try_spend(epoch_epsilon)?;
         let mut coefficients = self.exact.clone();
         add_weighted_noise(
@@ -1082,8 +639,9 @@ mod tests {
         }
     }
 
-    /// The bulk path must equal the sequential loop bit for bit — same
-    /// cells, same order, duplicates included — in every cutover mode.
+    /// A bulk batch must equal a loop of single increments bit for bit —
+    /// same cells, same order, duplicates included — and both must equal
+    /// the dense forward transform of the updated table.
     #[test]
     fn bulk_batch_matches_sequential_loop_bitwise() {
         let schema = mixed_schema();
@@ -1098,27 +656,31 @@ mod tests {
         ];
         let mut seq = IncrementalRelease::new(&fm, &BTreeSet::new(), 1.0).unwrap();
         let mut seq_written = 0usize;
+        let mut table = fm.matrix().clone();
         for (cell, delta) in &batch {
             seq_written += seq.apply_increment(cell, *delta).unwrap();
+            table.set(cell, table.get(cell).unwrap() + delta).unwrap();
         }
-        for pct in [0usize, DEFAULT_BULK_LANE_CUTOVER_PCT, 101] {
-            let mut bulk = IncrementalRelease::new(&fm, &BTreeSet::new(), 1.0)
-                .unwrap()
-                .with_lane_cutover_pct(pct);
-            let report = bulk.apply_increments(&batch).unwrap();
-            assert_eq!(report.increments, 6);
-            assert_eq!(report.coalesced_cells, 2, "three arrivals at one cell");
-            assert!(report.coefficients_written <= seq_written);
-            assert!(report.coefficients_written <= report.touch_bound);
-            for (i, (a, b)) in bulk
-                .exact_coefficients()
-                .as_slice()
-                .iter()
-                .zip(seq.exact_coefficients().as_slice())
-                .enumerate()
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "pct {pct} coeff {i}");
-            }
+        let mut bulk = IncrementalRelease::new(&fm, &BTreeSet::new(), 1.0).unwrap();
+        let report = bulk.apply_increments(&batch).unwrap();
+        assert_eq!(report.increments, 6);
+        assert_eq!(report.coalesced_cells, 2, "three arrivals at one cell");
+        assert!(report.coefficients_written <= seq_written);
+        assert!(report.coefficients_written <= report.touch_bound);
+        let dense = HnTransform::for_schema(&schema, &BTreeSet::new())
+            .unwrap()
+            .forward(&table)
+            .unwrap();
+        for (i, ((a, b), c)) in bulk
+            .exact_coefficients()
+            .as_slice()
+            .iter()
+            .zip(seq.exact_coefficients().as_slice())
+            .zip(dense.as_slice())
+            .enumerate()
+        {
+            assert_eq!(a.to_bits(), b.to_bits(), "bulk vs loop, coeff {i}");
+            assert_eq!(a.to_bits(), c.to_bits(), "bulk vs dense forward, coeff {i}");
         }
     }
 
@@ -1247,6 +809,75 @@ mod tests {
             .forward(&NdMatrix::from_vec(&dims, table).unwrap())
             .unwrap();
         assert_eq!(rel.exact_coefficients().as_slice(), dense.as_slice());
+    }
+
+    /// The 1-dim ordinal-4 table `[3, 5, 0, 1]` the overflow cases start
+    /// from, with the bits of its exact tensor.
+    fn overflow_fixture() -> IncrementalRelease {
+        let schema = Schema::new(vec![Attribute::ordinal("a", 4)]).unwrap();
+        let fm = FrequencyMatrix::from_parts(
+            schema,
+            NdMatrix::from_vec(&[4], vec![3.0, 5.0, 0.0, 1.0]).unwrap(),
+        )
+        .unwrap();
+        IncrementalRelease::new(&fm, &BTreeSet::new(), 4.0).unwrap()
+    }
+
+    fn exact_bits(rel: &IncrementalRelease) -> Vec<u64> {
+        rel.exact_coefficients()
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// A decay whose scaled table overflows is refused and leaves the
+    /// release unchanged; the next epoch still publishes finite values.
+    #[test]
+    fn overflowing_decay_is_refused_without_side_effects() {
+        let mut rel = overflow_fixture();
+        let (before, ledger) = (exact_bits(&rel), *rel.ledger());
+        assert!(matches!(
+            rel.decay(f64::MAX / 2.0).unwrap_err(),
+            CoreError::NonFiniteExact(_)
+        ));
+        assert_eq!(exact_bits(&rel), before);
+        assert_eq!(*rel.ledger(), ledger);
+        // The kernel state is untouched too: increments still track the
+        // dense forward of the undecayed table.
+        rel.apply_increment(&[2], 1.0).unwrap();
+        let dense = HnTransform::for_schema(rel.schema(), &BTreeSet::new())
+            .unwrap()
+            .forward(&NdMatrix::from_vec(&[4], vec![3.0, 5.0, 1.0, 1.0]).unwrap())
+            .unwrap();
+        assert_eq!(rel.exact_coefficients().as_slice(), dense.as_slice());
+        let out = rel.advance_epoch(1.0, 7).unwrap();
+        assert!(out.coefficients.as_slice().iter().all(|v| v.is_finite()));
+    }
+
+    /// Finite deltas that sum past `f64::MAX` are absorbed (rejecting them
+    /// up front is still open), but the epoch refuses to publish the
+    /// overflowed coefficients before it debits or draws anything.
+    #[test]
+    fn overflowed_exact_coefficients_are_never_published() {
+        let mut rel = overflow_fixture();
+        rel.apply_increments(&[(vec![1], f64::MAX), (vec![1], f64::MAX)])
+            .unwrap();
+        assert!(rel
+            .exact_coefficients()
+            .as_slice()
+            .iter()
+            .any(|v| !v.is_finite()));
+        let (before, ledger) = (exact_bits(&rel), *rel.ledger());
+        assert!(matches!(
+            rel.advance_epoch(1.0, 7).unwrap_err(),
+            CoreError::NonFiniteExact(_)
+        ));
+        assert_eq!(exact_bits(&rel), before);
+        assert_eq!(*rel.ledger(), ledger);
+        assert_eq!(rel.ledger().spent(), 0.0);
+        assert_eq!(rel.epoch(), 0);
+        assert!(rel.latest().is_none());
     }
 
     #[test]

@@ -109,6 +109,11 @@ pub enum CoreError {
     /// An ingest delta must be finite: a NaN or ±∞ would poison the
     /// exact coefficients of every later epoch.
     NonFiniteDelta(f64),
+    /// A streaming release's exact state overflowed to ±∞ or NaN (e.g. a
+    /// decay or a run of huge finite deltas exceeded `f64::MAX`). Raised
+    /// before a decay installs such a state and before an epoch debits
+    /// any budget, so non-finite coefficients are never published.
+    NonFiniteExact(f64),
     /// A streaming release's lifetime privacy budget cannot cover the
     /// requested epoch. Raised *before* any noise is drawn, so a refused
     /// epoch never leaks a partially noised release.
@@ -160,6 +165,12 @@ impl std::fmt::Display for CoreError {
                 write!(f, "sliding window must retain at least one epoch, got {n}")
             }
             CoreError::NonFiniteDelta(d) => write!(f, "ingest delta must be finite, got {d}"),
+            CoreError::NonFiniteExact(v) => {
+                write!(
+                    f,
+                    "exact coefficients overflowed to a non-finite value ({v})"
+                )
+            }
             CoreError::BudgetExhausted {
                 requested,
                 remaining,

@@ -189,11 +189,14 @@ impl DecayedSumRelease {
 
     /// Publishes the current decayed sum under `epoch_epsilon`, then
     /// applies one `α` scaling at the epoch boundary. A refused epoch
-    /// neither publishes nor decays.
+    /// neither publishes nor decays: the decay is rebuilt and checked for
+    /// overflow ([`CoreError::NonFiniteExact`]) *before* the publish
+    /// debits the budget, and installed only after it succeeds.
     pub fn advance_epoch(&mut self, epoch_epsilon: f64, seed: u64) -> Result<CoefficientOutput> {
         self.inner.ledger().check(epoch_epsilon)?;
+        let decayed = self.inner.decayed(self.alpha)?;
         let out = self.inner.advance_epoch(epoch_epsilon, seed)?;
-        self.inner.decay(self.alpha)?;
+        self.inner.install(decayed);
         Ok(out)
     }
 }
@@ -392,6 +395,44 @@ mod tests {
             .map(|v| v.to_bits())
             .collect();
         assert_eq!(before, after, "a refused epoch must not decay the table");
+    }
+
+    /// An α whose decay overflows is caught *before* the epoch publishes:
+    /// the refused epoch debits nothing and leaves the exact tensor as it
+    /// was, and no published epoch ever carries a non-finite coefficient.
+    #[test]
+    fn overflowing_decay_refuses_the_epoch_before_debiting() {
+        let schema = Schema::new(vec![Attribute::ordinal("a", 4)]).unwrap();
+        let fm = FrequencyMatrix::from_parts(
+            schema,
+            NdMatrix::from_vec(&[4], vec![3.0, 5.0, 0.0, 1.0]).unwrap(),
+        )
+        .unwrap();
+        let mut rel = DecayedSumRelease::new(&fm, &BTreeSet::new(), 10.0, 1e300).unwrap();
+        let bits = |rel: &DecayedSumRelease| -> Vec<u64> {
+            rel.release()
+                .exact_coefficients()
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        for e in 0..4u64 {
+            let (before, ledger) = (bits(&rel), *rel.ledger());
+            match rel.advance_epoch(0.5, e) {
+                Ok(out) => {
+                    assert!(out.coefficients.as_slice().iter().all(|v| v.is_finite()));
+                }
+                Err(err) => {
+                    assert!(matches!(err, CoreError::NonFiniteExact(_)), "{err:?}");
+                    assert_eq!(bits(&rel), before);
+                    assert_eq!(*rel.ledger(), ledger);
+                    assert_eq!(rel.ledger().epochs(), 1, "only the first epoch fits");
+                    return;
+                }
+            }
+        }
+        panic!("a 1e300 decay must overflow within four epochs");
     }
 
     #[test]

@@ -59,31 +59,43 @@ impl Transform1d for HaarTransform {
         self.padded_len
     }
 
+    /// The averaging pyramid in heap layout: node `j`'s average at slot
+    /// `j`, its children at `2j` and `2j + 1`, the padded leaves at
+    /// `m..2m`, slot 0 unused.
+    fn state_len(&self) -> usize {
+        2 * self.padded_len
+    }
+
     /// Forward transform with caller-provided scratch (hot path for the
     /// multi-dimensional transform, which reuses one buffer across lanes):
     /// `src.len() == input_len`, `dst.len() == padded_len`,
-    /// `scratch.len() >= padded_len`.
+    /// `scratch.len() >= 2·padded_len`; the scratch ends up holding the
+    /// averaging pyramid (see [`state_len`](Transform1d::state_len)).
     fn forward(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {
+        let m = self.padded_len;
         debug_assert_eq!(src.len(), self.input_len);
-        debug_assert_eq!(dst.len(), self.padded_len);
-        debug_assert!(scratch.len() >= self.padded_len);
-        dst[..self.input_len].copy_from_slice(src);
-        dst[self.input_len..].fill(0.0);
-        let mut width = self.padded_len;
-        // Fold one level at a time: averages land in the front half,
-        // details in the back half, which is exactly the heap layout slot
-        // for this level's coefficients.
-        while width > 1 {
-            let half = width / 2;
-            for i in 0..half {
-                let a = dst[2 * i];
-                let b = dst[2 * i + 1];
-                scratch[i] = 0.5 * (a + b);
-                scratch[half + i] = 0.5 * (a - b);
+        debug_assert_eq!(dst.len(), m);
+        debug_assert!(scratch.len() >= 2 * m);
+        scratch[0] = 0.0;
+        scratch[m..m + self.input_len].copy_from_slice(src);
+        scratch[m + self.input_len..2 * m].fill(0.0);
+        // Level by level from the leaves up, ascending within a level:
+        // node j's average lands in its heap slot, its detail in the
+        // coefficient of the same index.
+        let mut level = m / 2;
+        while level >= 1 {
+            let (parents, children) = scratch.split_at_mut(2 * level);
+            for ((avg, detail), pair) in parents[level..]
+                .iter_mut()
+                .zip(&mut dst[level..2 * level])
+                .zip(children[..2 * level].chunks_exact(2))
+            {
+                *avg = 0.5 * (pair[0] + pair[1]);
+                *detail = 0.5 * (pair[0] - pair[1]);
             }
-            dst[..width].copy_from_slice(&scratch[..width]);
-            width = half;
+            level /= 2;
         }
+        dst[0] = scratch[1];
     }
 
     /// Inverse transform (Equation 3 applied level by level) with
@@ -177,35 +189,37 @@ impl Transform1d for HaarTransform {
         out
     }
 
-    /// Sparse forward column at `cell`: the base coefficient moves by
-    /// `1/m` per unit and each ancestor of the virtual leaf `m + cell`
-    /// moves by `±1/span` (`+` from the left subtree, `−` from the
-    /// right) — exactly `log₂ m + 1` entries, ascending by index.
-    fn update_weights(&self, cell: usize) -> Vec<(usize, f64)> {
-        assert!(
-            cell < self.input_len,
-            "cell {cell} out of range for domain of {}",
-            self.input_len
-        );
-        let m = self.padded_len;
-        let mut out = Vec::with_capacity(self.levels as usize + 1);
-        out.push((0usize, 1.0 / m as f64));
-        let leaf = m + cell;
-        // Ancestors from the root down (ascending heap index), matching
-        // query_weights' deterministic ordering.
-        for s in (1..=self.levels).rev() {
-            let j = leaf >> s;
-            let child = leaf >> (s - 1);
-            let level_minus_1 = usize::BITS - 1 - j.leading_zeros();
-            let span = (m >> level_minus_1) as f64;
-            let w = if child & 1 == 0 {
-                1.0 / span
-            } else {
-                -1.0 / span
-            };
-            out.push((j, w));
+    fn leaf_slot(&self, pos: usize) -> usize {
+        self.padded_len + pos
+    }
+
+    /// All leaves sit on one heap level, so the dirty set climbs one
+    /// level at a time: sorted slots map to sorted parents, adjacent
+    /// duplicates collapse in place, and each ancestor is recomputed once
+    /// — then the base reads the root average (slot 1, which for `m == 1`
+    /// *is* the single leaf).
+    fn repair(&self, state: &mut [f64], dirty: &mut Vec<usize>, out: &mut Vec<(usize, f64)>) {
+        if dirty.is_empty() {
+            return;
         }
-        out
+        dirty.sort_unstable();
+        let mut len = dirty.len();
+        while dirty[0] > 1 {
+            let mut kept = 0;
+            for r in 0..len {
+                let j = dirty[r] >> 1;
+                if kept > 0 && dirty[kept - 1] == j {
+                    continue;
+                }
+                dirty[kept] = j;
+                kept += 1;
+                let (a, b) = (state[2 * j], state[2 * j + 1]);
+                state[j] = 0.5 * (a + b);
+                out.push((j, 0.5 * (a - b)));
+            }
+            len = kept;
+        }
+        out.push((0, state[1]));
     }
 
     /// Every cell touches the base plus one node per level.
@@ -257,6 +271,8 @@ impl Transform1d for HaarTransform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::transform1d::oracle::{check_repair, lane_and_updates};
+    use proptest::prelude::*;
 
     /// The Figure-2 example: M = [9,3,6,2,8,4,5,7].
     const FIG2: [f64; 8] = [9.0, 3.0, 6.0, 2.0, 8.0, 4.0, 5.0, 7.0];
@@ -442,43 +458,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn update_weights_are_the_forward_column() {
-        // The sparse column at `cell` must equal forward(e_cell)
-        // restricted to its nonzeros, with exactly log₂ m + 1 entries.
-        for len in [1usize, 2, 5, 8, 13, 16] {
-            let t = HaarTransform::new(len);
-            for cell in 0..len {
-                let mut unit = vec![0.0; len];
-                unit[cell] = 1.0;
-                let mut dense = vec![0.0; t.output_len()];
-                t.forward_alloc(&unit, &mut dense);
-                let sparse = t.update_weights(cell);
-                assert_eq!(sparse.len(), t.max_update_support());
-                assert_eq!(sparse.len(), t.levels() as usize + 1);
-                let mut rebuilt = vec![0.0; t.output_len()];
-                for &(j, w) in &sparse {
-                    rebuilt[j] += w;
-                }
-                for (j, (&d, &r)) in dense.iter().zip(&rebuilt).enumerate() {
-                    assert!(
-                        (d - r).abs() < 1e-12,
-                        "len={len} cell={cell} coeff {j}: {d} vs {r}"
-                    );
-                }
-            }
+    proptest! {
+        /// Repair equals the dense forward of the new lane — at m = 1,
+        /// padded sizes and powers of two.
+        #[test]
+        fn repair_matches_dense_forward(
+            (n, (old, updates)) in prop_oneof![1usize..=40, Just(64usize), Just(128usize)]
+                .prop_flat_map(|n| (Just(n), lane_and_updates(n)))
+        ) {
+            let t = HaarTransform::new(n);
+            check_repair(&t, &old, &updates)?;
+            check_repair(&t, &old, &updates[..1])?;
         }
     }
 
     #[test]
-    fn update_weights_figure2_single_cell() {
-        // Dual of Example 2: bumping v2 (cell 1) by δ moves c0 and c1 by
-        // δ/8, c2 by δ/4, and c4 by −δ/2.
+    fn repair_figure2_single_cell() {
+        // Dual of Example 2: bumping v2 (cell 1) re-derives c0, c1, c2 and
+        // c4 — the base plus the heap path.
         let t = HaarTransform::new(8);
-        assert_eq!(
-            t.update_weights(1),
-            vec![(0, 0.125), (1, 0.125), (2, 0.25), (4, -0.5)]
-        );
+        let positions = check_repair(&t, &FIG2, &[(1, FIG2[1] + 1.0)]).unwrap();
+        assert_eq!(positions, vec![0, 1, 2, 4]);
+        // Every cell of every size emits exactly log₂ m + 1 coefficients.
+        for len in [1usize, 2, 5, 8, 13, 16] {
+            let t = HaarTransform::new(len);
+            let lane: Vec<f64> = (0..len).map(|i| i as f64 * 0.75 - 2.0).collect();
+            for cell in 0..len {
+                let positions = check_repair(&t, &lane, &[(cell, 9.5)]).unwrap();
+                assert_eq!(positions.len(), t.max_update_support());
+                assert_eq!(positions.len(), t.levels() as usize + 1);
+            }
+        }
     }
 
     #[test]
@@ -487,7 +497,7 @@ mod tests {
         let src = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
         let mut c1 = vec![0.0; 8];
         let mut c2 = vec![0.0; 8];
-        let mut scratch = vec![0.0; 8];
+        let mut scratch = vec![0.0; t.scratch_len()];
         t.forward_alloc(&src, &mut c1);
         t.forward(&src, &mut c2, &mut scratch);
         assert_eq!(c1, c2);

@@ -395,33 +395,6 @@ impl HnTransform {
         Ok(t.query_weights(lo, hi))
     }
 
-    /// Sparse coefficient support of **one** dimension's single-cell
-    /// increment: dimension `axis`'s
-    /// [`update_weights`](Transform1d::update_weights) at domain cell
-    /// `cell`, validated (`Err`, never a panic, on a bad axis or cell).
-    ///
-    /// The streaming dual of
-    /// [`query_weights_for_dim`](Self::query_weights_for_dim): an ingest
-    /// path absorbing row arrivals derives per-dimension update columns
-    /// through here, so a single-cell increment touches at most
-    /// `∏ᵢ max_update_support(i)` coefficients of the d-dimensional
-    /// tensor product instead of the whole output matrix.
-    pub fn update_weights_for_dim(&self, axis: usize, cell: usize) -> Result<Vec<(usize, f64)>> {
-        let t = self.transforms.get(axis).ok_or(CoreError::BadAxis {
-            axis,
-            ndim: self.ndim(),
-        })?;
-        if cell >= t.input_len() {
-            return Err(CoreError::BadQueryBounds {
-                axis,
-                lo: cell,
-                hi: cell,
-                len: t.input_len(),
-            });
-        }
-        Ok(t.update_weights(cell))
-    }
-
     /// Visits every coefficient cell of the output matrix in row-major
     /// order with its factorized weight `W_HN = ∏ᵢ wᵢ[xᵢ]`.
     pub fn for_each_weight(&self, mut f: impl FnMut(usize, f64)) {
@@ -730,34 +703,6 @@ mod tests {
                 hi: 2,
                 len: 2,
                 ..
-            }
-        ));
-    }
-
-    #[test]
-    fn update_weights_for_dim_is_the_validated_forward_column() {
-        let (_, hn) = mixed_transform();
-        // Each dimension's column at a cell matches the 1-D transform's.
-        for (axis, t) in hn.transforms().iter().enumerate() {
-            let cell = t.input_len() - 1;
-            assert_eq!(
-                hn.update_weights_for_dim(axis, cell).unwrap(),
-                t.update_weights(cell),
-                "axis {axis}"
-            );
-        }
-        assert!(matches!(
-            hn.update_weights_for_dim(4, 0).unwrap_err(),
-            CoreError::BadAxis { axis: 4, ndim: 4 }
-        ));
-        // Cell at the (unpadded) domain size: Err, not a panic.
-        assert!(matches!(
-            hn.update_weights_for_dim(0, 5).unwrap_err(),
-            CoreError::BadQueryBounds {
-                axis: 0,
-                lo: 5,
-                hi: 5,
-                len: 5,
             }
         ));
     }

@@ -38,17 +38,17 @@ impl Transform1d for IdentityTransform {
         self.len
     }
 
-    /// No scratch needed: both directions are a copy.
-    #[inline]
-    fn scratch_len(&self) -> usize {
-        0
+    /// The state is a copy of the lane.
+    fn state_len(&self) -> usize {
+        self.len
     }
 
-    /// Forward: copy.
-    fn forward(&self, src: &[f64], dst: &mut [f64], _scratch: &mut [f64]) {
+    /// Forward: copy, into `dst` and into the state.
+    fn forward(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {
         debug_assert_eq!(src.len(), self.len);
         debug_assert_eq!(dst.len(), self.len);
         dst.copy_from_slice(src);
+        scratch[..self.len].copy_from_slice(src);
     }
 
     /// Inverse: copy.
@@ -74,14 +74,15 @@ impl Transform1d for IdentityTransform {
         (lo..=hi).map(|i| (i, 1.0)).collect()
     }
 
-    /// Single-cell-increment support: the cell itself, weight 1.
-    fn update_weights(&self, cell: usize) -> Vec<(usize, f64)> {
-        assert!(
-            cell < self.len,
-            "cell {cell} out of range for domain of {}",
-            self.len
-        );
-        vec![(cell, 1.0)]
+    fn leaf_slot(&self, pos: usize) -> usize {
+        pos
+    }
+
+    /// Each dirty leaf is its own coefficient.
+    fn repair(&self, state: &mut [f64], dirty: &mut Vec<usize>, out: &mut Vec<(usize, f64)>) {
+        for &slot in dirty.iter() {
+            out.push((slot, state[slot]));
+        }
     }
 
     /// An increment touches exactly one coefficient.
@@ -119,6 +120,24 @@ impl Transform1d for IdentityTransform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::transform1d::oracle::{check_repair, lane_and_updates};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Repair re-emits exactly the overwritten cells.
+        #[test]
+        fn repair_matches_dense_forward(
+            (n, (old, updates)) in (1usize..=20).prop_flat_map(|n| (Just(n), lane_and_updates(n)))
+        ) {
+            let t = IdentityTransform::new(n);
+            let positions = check_repair(&t, &old, &updates)?;
+            let mut cells: Vec<usize> = updates.iter().map(|&(pos, _)| pos).collect();
+            cells.sort_unstable();
+            cells.dedup();
+            prop_assert_eq!(positions, cells);
+            prop_assert_eq!(check_repair(&t, &old, &updates[..1])?.len(), 1);
+        }
+    }
 
     #[test]
     fn copies_both_ways() {
@@ -130,7 +149,7 @@ mod tests {
         let mut back = [0.0; 4];
         t.inverse_alloc(&c, &mut back);
         assert_eq!(back, src);
-        assert_eq!(t.scratch_len(), 0);
+        assert_eq!(t.scratch_len(), 4);
     }
 
     #[test]
@@ -141,17 +160,11 @@ mod tests {
     }
 
     #[test]
-    fn update_weights_are_the_single_cell() {
-        let t = IdentityTransform::new(5);
-        assert_eq!(t.update_weights(2), vec![(2, 1.0)]);
-        assert_eq!(t.max_update_support(), 1);
-    }
-
-    #[test]
     fn factors_match_corollary_1() {
         let t = IdentityTransform::new(16);
         assert_eq!(t.p_value(), 1.0);
         assert_eq!(t.h_value(), 16.0);
+        assert_eq!(t.max_update_support(), 1);
         assert_eq!(t.weights(), vec![1.0; 16]);
         assert_eq!(t.output_len(), 16);
     }

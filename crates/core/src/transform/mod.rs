@@ -85,8 +85,8 @@ impl Transform1d for DimTransform {
     }
 
     #[inline]
-    fn scratch_len(&self) -> usize {
-        self.as_transform().scratch_len()
+    fn state_len(&self) -> usize {
+        self.as_transform().state_len()
     }
 
     #[inline]
@@ -117,8 +117,12 @@ impl Transform1d for DimTransform {
         self.as_transform().query_weights(lo, hi)
     }
 
-    fn update_weights(&self, cell: usize) -> Vec<(usize, f64)> {
-        self.as_transform().update_weights(cell)
+    fn leaf_slot(&self, pos: usize) -> usize {
+        self.as_transform().leaf_slot(pos)
+    }
+
+    fn repair(&self, state: &mut [f64], dirty: &mut Vec<usize>, out: &mut Vec<(usize, f64)>) {
+        self.as_transform().repair(state, dirty, out)
     }
 
     fn max_update_support(&self) -> usize {
@@ -168,7 +172,7 @@ mod tests {
             let n = t.input_len();
             let src: Vec<f64> = (0..n).map(|i| (i as f64) * 1.5 - 3.0).collect();
             let mut c = vec![0.0; t.output_len()];
-            let mut scratch = vec![0.0; t.output_len()];
+            let mut scratch = vec![0.0; t.scratch_len()];
             t.forward(&src, &mut c, &mut scratch);
             t.refine(&mut c); // no-op on exact coefficients
             let mut back = vec![0.0; n];

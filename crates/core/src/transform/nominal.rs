@@ -80,6 +80,11 @@ impl Transform1d for NominalTransform {
         self.hierarchy.node_count()
     }
 
+    /// Leaf-sums by hierarchy node id.
+    fn state_len(&self) -> usize {
+        self.hierarchy.node_count()
+    }
+
     /// Forward transform: `src.len() == leaf_count`,
     /// `dst.len() == node_count`; `scratch.len() >= node_count` holds
     /// leaf-sums.
@@ -179,8 +184,7 @@ impl Transform1d for NominalTransform {
             acc.insert(h.level_order_pos(h.leaf_node(pos)), 1.0f64);
         }
         let mut out = Vec::new();
-        while let Some((&pos, _)) = acc.iter().next_back() {
-            let w = acc.remove(&pos).expect("key just observed");
+        while let Some((pos, w)) = acc.pop_last() {
             out.push((pos, w));
             let id = h.level_order()[pos];
             if let Some(p) = h.parent(id) {
@@ -191,44 +195,59 @@ impl Transform1d for NominalTransform {
         out
     }
 
-    /// Sparse forward column at leaf `cell`: adding `δ` at the leaf adds
-    /// `δ` to the leaf-sum of every root-path node, so the touched
-    /// coefficients are the root (moves by `δ`) plus every *child of a
-    /// path node* — the path member of a fanout-`f` group moves by
-    /// `δ(1 − 1/f)` and each silent sibling by `−δ/f` (their coefficient
-    /// reads the parent's leaf-sum). Zero-weight entries (fanout-1
-    /// groups) are dropped, matching `query_weights`' nonzero contract.
-    fn update_weights(&self, cell: usize) -> Vec<(usize, f64)> {
+    fn leaf_slot(&self, pos: usize) -> usize {
+        self.hierarchy.leaf_node(pos)
+    }
+
+    /// Level order is breadth-first, so a parent's position never
+    /// exceeds its child's: visiting nodes by descending position queues
+    /// their parents in non-increasing order, duplicates adjacent. The
+    /// sorted dirty leaves and that queue (appended to `dirty` behind the
+    /// leaves) merge into one children-first sweep that recomputes each
+    /// dirty ancestor's leaf-sum once — uneven depths included. A dirty
+    /// leaf-sum feeds the coefficient of every child of its node, so the
+    /// emissions are the root plus each dirty ancestor's whole sibling
+    /// group.
+    fn repair(&self, state: &mut [f64], dirty: &mut Vec<usize>, out: &mut Vec<(usize, f64)>) {
         let h = &self.hierarchy;
-        assert!(
-            cell < h.leaf_count(),
-            "cell {cell} out of range for domain of {}",
-            h.leaf_count()
-        );
-        let mut node = h.leaf_node(cell);
-        let mut path = vec![node];
-        while let Some(p) = h.parent(node) {
-            path.push(p);
-            node = p;
+        if dirty.is_empty() {
+            return;
         }
-        // `node` is now the root.
-        let mut out = vec![(h.level_order_pos(node), 1.0)];
-        for k in 1..path.len() {
-            let p = path[k];
-            let f = h.fanout(p) as f64;
-            for &c in h.children(p) {
-                let w = if c == path[k - 1] {
-                    1.0 - 1.0 / f
-                } else {
-                    -1.0 / f
-                };
-                if w != 0.0 {
-                    out.push((h.level_order_pos(c), w));
+        dirty.sort_unstable_by_key(|&id| std::cmp::Reverse(h.level_order_pos(id)));
+        let leaves = dirty.len();
+        let (mut next_leaf, mut next_queued) = (0, leaves);
+        loop {
+            let leaf_first = next_leaf < leaves
+                && (next_queued == dirty.len()
+                    || h.level_order_pos(dirty[next_leaf]) > h.level_order_pos(dirty[next_queued]));
+            let id = if leaf_first {
+                next_leaf += 1;
+                dirty[next_leaf - 1]
+            } else if next_queued < dirty.len() {
+                next_queued += 1;
+                let id = dirty[next_queued - 1];
+                state[id] = h.children(id).iter().map(|&c| state[c]).sum();
+                id
+            } else {
+                break;
+            };
+            // A leaf is never a parent, so comparing with the last entry
+            // is enough to dedup the queue.
+            if let Some(p) = h.parent(id) {
+                if dirty.last() != Some(&p) {
+                    dirty.push(p);
                 }
             }
         }
-        out.sort_unstable_by_key(|&(pos, _)| pos);
-        out
+        let root = h.root();
+        out.push((h.level_order_pos(root), state[root]));
+        for &p in &dirty[leaves..] {
+            let f = h.fanout(p) as f64;
+            let lsp = state[p];
+            for &c in h.children(p) {
+                out.push((h.level_order_pos(c), state[c] - lsp / f));
+            }
+        }
     }
 
     /// Deepest-path touch count: the root plus one whole sibling group
@@ -316,7 +335,9 @@ impl Transform1d for NominalTransform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::transform1d::oracle::{check_repair, lane_and_updates};
     use privelet_hierarchy::Spec;
+    use proptest::prelude::*;
 
     /// The Figure-3 hierarchy and frequency vector M = [9,3,6,2,8,2].
     fn figure3() -> (Arc<Hierarchy>, [f64; 6]) {
@@ -493,66 +514,49 @@ mod tests {
         assert!((support[1].1 - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn update_weights_are_the_forward_column() {
-        // The sparse column at each leaf must equal forward(e_leaf)
-        // restricted to its nonzeros, on even and uneven hierarchies.
-        let hierarchies = vec![
-            figure3().0,
-            Arc::new(privelet_hierarchy::builder::flat(7).unwrap()),
-            Arc::new(
-                Spec::internal(
-                    "root",
-                    vec![
-                        Spec::leaf("a"),
-                        Spec::internal("b", vec![Spec::leaf("c"), Spec::leaf("d")]),
-                    ],
-                )
-                .build()
-                .unwrap(),
-            ),
-            Arc::new(Spec::leaf("only").build().unwrap()),
-        ];
-        for h in hierarchies {
-            let t = NominalTransform::new(h);
-            let n = t.input_len();
-            for cell in 0..n {
-                let mut unit = vec![0.0; n];
-                unit[cell] = 1.0;
-                let mut dense = vec![0.0; t.output_len()];
-                t.forward_alloc(&unit, &mut dense);
-                let sparse = t.update_weights(cell);
-                assert!(sparse.len() <= t.max_update_support());
-                let mut rebuilt = vec![0.0; t.output_len()];
-                for &(pos, w) in &sparse {
-                    rebuilt[pos] += w;
-                }
-                for (pos, (&d, &r)) in dense.iter().zip(&rebuilt).enumerate() {
-                    assert!(
-                        (d - r).abs() < 1e-12,
-                        "n={n} cell={cell} coeff {pos}: {d} vs {r}"
-                    );
-                }
-            }
+    proptest! {
+        /// Repair equals the dense forward of the new lane on random
+        /// hierarchies — uneven depths, mixed fanouts, and the single-leaf
+        /// hierarchy whose root is its only leaf.
+        #[test]
+        fn repair_matches_dense_forward(
+            ((leaves, fanout, seed), (old, updates)) in (1usize..=30, 2usize..=5, any::<u64>())
+                .prop_flat_map(|shape| (Just(shape), lane_and_updates(shape.0)))
+        ) {
+            let h = privelet_hierarchy::builder::random(leaves, fanout, seed).unwrap();
+            let t = NominalTransform::new(Arc::new(h));
+            check_repair(&t, &old, &updates)?;
+            check_repair(&t, &old, &updates[..1])?;
         }
     }
 
     #[test]
-    fn update_weights_figure3_touch_whole_sibling_groups() {
-        // Bumping v1 touches the root, both level-1 nodes (c1 on the
+    fn repair_figure3_touches_whole_sibling_groups() {
+        // Bumping v1 re-derives the root, both level-1 nodes (c1 on the
         // path, c2 its silent sibling) and c1's full leaf group.
-        let (h, _) = figure3();
+        let (h, m) = figure3();
         let t = NominalTransform::new(h);
-        let w = t.update_weights(0);
-        let positions: Vec<usize> = w.iter().map(|&(p, _)| p).collect();
+        let positions = check_repair(&t, &m, &[(0, m[0] + 1.0)]).unwrap();
         assert_eq!(positions, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(w[0].1, 1.0); // root: full δ
-        assert_eq!(w[1].1, 0.5); // c1: 1 − 1/2
-        assert_eq!(w[2].1, -0.5); // c2: −1/2
-        assert!((w[3].1 - (1.0 - 1.0 / 3.0)).abs() < 1e-15);
-        assert!((w[4].1 - (-1.0 / 3.0)).abs() < 1e-15);
         // Deepest path: 1 + fanout(root) + fanout(c1) = 1 + 2 + 3.
         assert_eq!(t.max_update_support(), 6);
+        // The uneven-depth shape: the shallow leaf re-derives the root
+        // and the root's sibling group only.
+        let uneven = Arc::new(
+            Spec::internal(
+                "root",
+                vec![
+                    Spec::leaf("a"),
+                    Spec::internal("b", vec![Spec::leaf("c"), Spec::leaf("d")]),
+                ],
+            )
+            .build()
+            .unwrap(),
+        );
+        let t = NominalTransform::new(uneven);
+        let lane = [4.0, -1.5, 7.25];
+        assert_eq!(check_repair(&t, &lane, &[(0, 1.0)]).unwrap(), vec![0, 1, 2]);
+        assert_eq!(check_repair(&t, &lane, &[(2, 1.0)]).unwrap().len(), 5);
     }
 
     #[test]

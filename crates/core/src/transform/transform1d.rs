@@ -15,6 +15,16 @@
 //! convenience wrappers allocate scratch per call and exist for tests and
 //! one-shot use.
 //!
+//! Each transform's arithmetic is written once. [`forward`] leaves the
+//! lane's intermediate *state* in its scratch, and [`repair`] brings that
+//! state and the affected coefficients up to date after some leaves
+//! change, with the same float expressions — so the publish path and the
+//! streaming ingest path
+//! ([`IncrementalRelease`](crate::incremental::IncrementalRelease)) run
+//! the same per-transform code, bit for bit.
+//!
+//! [`forward`]: Transform1d::forward
+//! [`repair`]: Transform1d::repair
 //! [`input_len`]: Transform1d::input_len
 //! [`output_len`]: Transform1d::output_len
 
@@ -31,15 +41,25 @@ pub trait Transform1d: Sync {
     /// transforms, the padded power of two for Haar).
     fn output_len(&self) -> usize;
 
-    /// Scratch slots `forward` / `inverse` need. Defaults to
-    /// `output_len()`; the identity transform needs none.
+    /// Per-lane kernel state length: the intermediate values `forward`
+    /// leaves in its scratch — the Haar averaging pyramid in heap layout
+    /// (`2·m` slots, leaves at `m + x`, slot 0 unused), the nominal
+    /// leaf-sums by hierarchy node id (`node_count`), the identity lane
+    /// itself (`|A|`). [`repair`](Self::repair) works on this state.
+    fn state_len(&self) -> usize;
+
+    /// Scratch slots `forward` / `inverse` need: the lane state, so
+    /// `scratch_len() == state_len()`.
     fn scratch_len(&self) -> usize {
-        self.output_len()
+        self.state_len()
     }
 
     /// Forward transform of one lane: `src.len() == input_len()`,
     /// `dst.len() == output_len()`, `scratch.len() >= scratch_len()`.
-    /// Every element of `dst` is written.
+    /// Every element of `dst` is written, and on return
+    /// `scratch[..state_len()]` holds the lane's state: input position
+    /// `x` sits at [`leaf_slot(x)`](Self::leaf_slot), every other slot is
+    /// the kernel's intermediate value computed from those leaves.
     fn forward(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]);
 
     /// Inverse transform of one lane: `src.len() == output_len()`,
@@ -85,38 +105,35 @@ pub trait Transform1d: Sync {
     /// coefficients is harmless).
     fn query_weights(&self, lo: usize, hi: usize) -> Vec<(usize, f64)>;
 
-    /// Sparse coefficient support of a *single-cell increment*: the set of
-    /// `(coefficient index, weight)` pairs such that adding `δ` to domain
-    /// cell `cell` adds exactly `δ·weight` to each listed coefficient of
-    /// the **exact** forward transform, and changes no other coefficient.
-    /// This is the dual of [`query_weights`](Self::query_weights): the
-    /// column of the forward transform matrix at `cell`, i.e.
-    /// `forward(e_cell)` restricted to its nonzeros.
-    ///
-    /// For Haar this is the leaf-to-root heap path plus the base — exactly
-    /// `⌈log₂ m⌉ + 1` entries; for nominal it is the leaf's root path
-    /// (`height + 1` entries, one per hierarchy node containing the leaf);
-    /// for identity it is the single covered cell. Streaming releases rest
-    /// on this method: an increment touches O(log m) coefficients per
-    /// dimension instead of re-running the O(m) forward transform.
-    ///
-    /// The support describes the *exact* linear algebra. Incremental
-    /// maintenance that must stay bit-identical to a from-scratch forward
-    /// transform additionally recomputes touched values with the forward
-    /// kernel's own float expressions (see
-    /// [`IncrementalRelease`](crate::incremental::IncrementalRelease));
-    /// this method is the index machinery and the touch-count contract.
-    ///
-    /// Deliberately **not** defaulted (like
-    /// [`has_refinement`](Self::has_refinement)): a default deriving it
-    /// from a dense `forward(e_cell)` would silently cost O(m) per
-    /// increment, defeating the point.
-    fn update_weights(&self, cell: usize) -> Vec<(usize, f64)>;
+    /// The state slot holding input position `pos` (`pos < input_len()`)
+    /// after [`forward`](Self::forward): `m + pos` for Haar, the leaf's
+    /// node id for nominal, `pos` for identity.
+    fn leaf_slot(&self, pos: usize) -> usize;
 
-    /// Upper bound on `update_weights(cell).len()` over every cell — the
+    /// Dirty-path repair of one lane's state — the incremental form of
+    /// [`forward`](Self::forward), sharing its float expressions.
+    ///
+    /// `state` is a lane state as `forward` left it, except that the leaf
+    /// slots listed in `dirty` (distinct, any order) hold new values.
+    /// `repair` recomputes every internal node depending on a dirty leaf
+    /// exactly once, children first, and appends `(pos, value)` to `out`
+    /// for every output coefficient depending on a dirty leaf: the heap path
+    /// plus the base for Haar, the root plus every child of a dirty node
+    /// for nominal, the leaf itself for identity. Afterwards `state` and
+    /// the emitted values equal, bit for bit, what `forward` computes from
+    /// the new leaves; no other coefficient changed. `dirty` is a reusable
+    /// work list whose contents on return are unspecified.
+    ///
+    /// A single-leaf repair emits at most
+    /// [`max_update_support`](Self::max_update_support) values — the
+    /// paper's O(log m) update path per dimension.
+    fn repair(&self, state: &mut [f64], dirty: &mut Vec<usize>, out: &mut Vec<(usize, f64)>);
+
+    /// Upper bound on the coefficients a single-leaf
+    /// [`repair`](Self::repair) emits, over every leaf — the
     /// per-dimension factor in the streaming touch-count contract
-    /// (`⌈log₂ m⌉ + 1` for Haar, the deepest root path for nominal, 1 for
-    /// identity).
+    /// (`⌈log₂ m⌉ + 1` for Haar, the root plus one sibling group per
+    /// internal node on the widest root path for nominal, 1 for identity).
     fn max_update_support(&self) -> usize;
 
     /// The per-dimension noise-variance factor `Σ_j u(j)²/W(j)²` of an
@@ -178,5 +195,97 @@ pub trait Transform1d: Sync {
     {
         let mut scratch = vec![0.0f64; self.scratch_len()];
         self.inverse(src, dst, &mut scratch);
+    }
+}
+
+/// The repair oracle shared by every transform's proptest: the dense
+/// [`forward`](Transform1d::forward) of the old and the new lane.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::Transform1d;
+    use proptest::prelude::*;
+
+    /// Runs `forward(old)`, overwrites the leaves named in `updates`
+    /// (`(pos, value)`, later entries win), repairs, and checks the result
+    /// against `forward(new)`: the repaired state equals the new state
+    /// bitwise, every emitted value equals the new coefficient at its
+    /// position bitwise (each position emitted once), every coefficient
+    /// that changed is emitted, and a one-leaf repair emits at most
+    /// `max_update_support()` values. Returns the emitted positions,
+    /// ascending.
+    pub(crate) fn check_repair(
+        t: &dyn Transform1d,
+        old: &[f64],
+        updates: &[(usize, f64)],
+    ) -> Result<Vec<usize>, TestCaseError> {
+        let (n, out_n, s_n) = (t.input_len(), t.output_len(), t.state_len());
+        prop_assert_eq!(t.scratch_len(), s_n);
+        let mut state = vec![f64::NAN; s_n];
+        let mut old_c = vec![0.0f64; out_n];
+        t.forward(old, &mut old_c, &mut state);
+
+        let mut new = old.to_vec();
+        let mut dirty = Vec::new();
+        for &(pos, v) in updates {
+            new[pos] = v;
+            let slot = t.leaf_slot(pos);
+            state[slot] = v;
+            if !dirty.contains(&slot) {
+                dirty.push(slot);
+            }
+        }
+        let single = dirty.len() == 1;
+        let mut emitted = Vec::new();
+        t.repair(&mut state, &mut dirty, &mut emitted);
+
+        let mut want_state = vec![f64::NAN; s_n];
+        let mut new_c = vec![0.0f64; out_n];
+        t.forward(&new, &mut new_c, &mut want_state);
+        for k in 0..s_n {
+            prop_assert_eq!(
+                state[k].to_bits(),
+                want_state[k].to_bits(),
+                "state slot {}",
+                k
+            );
+        }
+        emitted.sort_by_key(|&(q, _)| q);
+        for w in emitted.windows(2) {
+            prop_assert!(w[0].0 != w[1].0, "position {} emitted twice", w[0].0);
+        }
+        for &(q, v) in &emitted {
+            prop_assert_eq!(v.to_bits(), new_c[q].to_bits(), "emitted coefficient {}", q);
+        }
+        let positions: Vec<usize> = emitted.iter().map(|&(q, _)| q).collect();
+        for q in 0..out_n {
+            if new_c[q].to_bits() != old_c[q].to_bits() {
+                prop_assert!(
+                    positions.binary_search(&q).is_ok(),
+                    "changed coefficient {} not emitted",
+                    q
+                );
+            }
+        }
+        if single {
+            prop_assert!(
+                positions.len() <= t.max_update_support(),
+                "one-leaf repair emitted {} > {}",
+                positions.len(),
+                t.max_update_support()
+            );
+        }
+        prop_assert!(n == old.len());
+        Ok(positions)
+    }
+
+    /// A lane of `n` values and one to six leaf overwrites (positions may
+    /// repeat).
+    pub(crate) fn lane_and_updates(
+        n: usize,
+    ) -> impl Strategy<Value = (Vec<f64>, Vec<(usize, f64)>)> {
+        (
+            prop::collection::vec(-1e3f64..1e3, n),
+            prop::collection::vec((0..n, -1e3f64..1e3), 1..=6),
+        )
     }
 }

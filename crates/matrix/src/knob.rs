@@ -5,9 +5,8 @@
 //! when it is unset, and — crucially — fall back **loudly** when it is
 //! set but unparseable, so a typo'd knob can't silently revert a
 //! deployment to defaults. This module is the one shared implementation
-//! behind the executor's `PRIVELET_PARALLEL_MIN_CELLS` and
-//! `PRIVELET_TILE_LANES` and the ingest path's
-//! `PRIVELET_BULK_LANE_CUTOVER`.
+//! behind the executor's two knobs, `PRIVELET_PARALLEL_MIN_CELLS` and
+//! `PRIVELET_TILE_LANES`.
 //!
 //! The parse is a pure function of the raw string so it is unit-testable
 //! without racing on the process environment (`std::env::set_var` is a

@@ -6,8 +6,9 @@
 //!    advancing an epoch yields output bit-identical to
 //!    `publish_coefficients` run from scratch on the updated table with
 //!    the same seed and ε — coefficients, meta, everything.
-//! 2. **Sparse-touch bounds** — every increment writes at least
-//!    ∏ᵢ |update_weights(dim, cell)| and at most
+//! 2. **Sparse-touch bounds** — every increment writes at least every
+//!    coefficient it changed (after each one the exact tensor equals the
+//!    dense forward of the updated table, bitwise) and at most
 //!    ∏ᵢ max_update_support(i) coefficients; on all-ordinal schemas the
 //!    count is *exactly* ∏ᵢ (⌈log₂ mᵢ⌉ + 1).
 //! 3. **Serving-side epoch advance** — `ConcurrentEngine::advance_epoch`
@@ -20,10 +21,10 @@
 //!    invalidated key, evictions don't move, and
 //!    `hits + misses == lookups` stays conserved throughout.
 //! 5. **Coalesced bulk ingest** — `apply_increments` (duplicates
-//!    included, in every lane-recompute cutover mode) leaves the exact
-//!    tensor and the next epoch output bit-identical to a sequential
-//!    `apply_increment` loop, while writing no more coefficients than
-//!    the loop did.
+//!    included) leaves the exact tensor bit-identical to a loop of single
+//!    `apply_increment` calls and to the dense forward of the updated
+//!    table, and the next epoch output bit-identical to the loop's, while
+//!    writing no more coefficients than the loop did.
 //! 6. **Sliding windows** — a full expire-then-ingest cycle equals a
 //!    publish-from-scratch on a table holding exactly the retained
 //!    epochs' increments (exact for the integer-valued deltas used
@@ -33,7 +34,7 @@ mod common;
 
 use common::{data_matrix, distinct_triples, schema_strategy, workload};
 use privelet_repro::core::mechanism::{publish_coefficients, PriveletConfig};
-use privelet_repro::core::transform::Transform1d;
+use privelet_repro::core::transform::{HnTransform, Transform1d};
 use privelet_repro::core::{CoreError, IncrementalRelease, SlidingWindowRelease};
 use privelet_repro::data::schema::{Attribute, Schema};
 use privelet_repro::data::FrequencyMatrix;
@@ -84,8 +85,8 @@ proptest! {
     /// Acceptance criterion: after N random increments plus an epoch
     /// re-noise, the streaming release is bit-identical per seed to a
     /// from-scratch `publish_coefficients` on the updated table, and
-    /// every increment's coefficient-touch count is bounded by the
-    /// per-dimension update supports.
+    /// every increment writes every coefficient it changed and no more
+    /// than the per-dimension update supports allow.
     #[test]
     fn incremental_release_is_bit_identical_to_from_scratch(
         (schema, sa) in schema_strategy(),
@@ -101,17 +102,31 @@ proptest! {
         let max_bound: usize = transforms.iter().map(|t| t.max_update_support()).product();
         prop_assert_eq!(rel.touch_bound(), max_bound);
 
-        for (cell, delta) in &increments {
+        // Emission completeness: after each increment the exact tensor is
+        // the dense forward of the updated table, so no changed
+        // coefficient went unwritten — and the write count covers every
+        // coefficient whose bits moved.
+        let hn = HnTransform::for_schema(&schema, &sa).unwrap();
+        for (k, (cell, delta)) in increments.iter().enumerate() {
+            let before: Vec<u64> =
+                rel.exact_coefficients().as_slice().iter().map(|v| v.to_bits()).collect();
             let written = rel.apply_increment(cell, *delta).unwrap();
-            let min_bound: usize = transforms
+            let dense = hn.forward(updated_table(&fm, &increments[..=k]).matrix()).unwrap();
+            let mut changed = 0usize;
+            for ((got, want), old) in rel
+                .exact_coefficients()
+                .as_slice()
                 .iter()
-                .zip(cell)
-                .map(|(t, &c)| t.update_weights(c).len())
-                .product();
+                .zip(dense.as_slice())
+                .zip(&before)
+            {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+                changed += usize::from(got.to_bits() != *old);
+            }
             prop_assert!(
-                min_bound <= written && written <= max_bound,
+                changed <= written && written <= max_bound,
                 "touched {} coefficients, expected within [{}, {}]",
-                written, min_bound, max_bound
+                written, changed, max_bound
             );
         }
 
@@ -223,11 +238,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Tentpole pin: a coalesced bulk batch — duplicate cells included,
-    /// in every lane-recompute cutover mode (0 = always whole-lane,
-    /// 50 = default, 101 = never) — leaves the exact tensor AND the next
-    /// epoch output bit-identical to a sequential `apply_increment` loop
-    /// over the same batch in order, while writing no more coefficients
+    /// Tentpole pin: a coalesced bulk batch — duplicate cells included —
+    /// leaves the exact tensor bit-identical to a loop of single
+    /// `apply_increment` calls over the same batch in order and to the
+    /// dense forward of the updated table, and the next epoch output
+    /// bit-identical to the loop's, while writing no more coefficients
     /// than the loop did.
     #[test]
     fn bulk_ingest_is_bit_identical_to_sequential_loop(
@@ -235,9 +250,7 @@ proptest! {
         data_seed in any::<u64>(),
         inc_seed in any::<u64>(),
         noise_seed in any::<u64>(),
-        pct_idx in 0usize..3,
     ) {
-        let pct = [0usize, 50, 101][pct_idx];
         let fm = data_matrix(&schema, data_seed);
         let mut batch = increment_stream(&schema, inc_seed, 10);
         // Guarantee duplicate cells: replay the first three cells with
@@ -256,9 +269,7 @@ proptest! {
         for (cell, delta) in &batch {
             seq_written += seq.apply_increment(cell, *delta).unwrap();
         }
-        let mut bulk = IncrementalRelease::new(&fm, &sa, 4.0)
-            .unwrap()
-            .with_lane_cutover_pct(pct);
+        let mut bulk = IncrementalRelease::new(&fm, &sa, 4.0).unwrap();
         let report = bulk.apply_increments(&batch).unwrap();
         prop_assert_eq!(report.increments, batch.len());
         prop_assert!(
@@ -267,13 +278,19 @@ proptest! {
             report.coefficients_written, seq_written
         );
         prop_assert!(report.coefficients_written <= report.touch_bound);
-        for (a, b) in bulk
+        let dense = HnTransform::for_schema(&schema, &sa)
+            .unwrap()
+            .forward(updated_table(&fm, &batch).matrix())
+            .unwrap();
+        for ((a, b), c) in bulk
             .exact_coefficients()
             .as_slice()
             .iter()
             .zip(seq.exact_coefficients().as_slice())
+            .zip(dense.as_slice())
         {
             prop_assert_eq!(a.to_bits(), b.to_bits());
+            prop_assert_eq!(a.to_bits(), c.to_bits());
         }
 
         // The next epoch output matches too, noise and meta included.
