@@ -20,7 +20,7 @@
 //!   speedup and the batch's `IngestReport` counters.
 //! - `... -- --test` — smoke mode: tiny fixture, correctness assertions
 //!   only (batch == loop == dense forward, bitwise; the batch writes no
-//!   more coefficients than the loop). CI runs this on both feature sets.
+//!   more coefficients than the loop). CI runs this on every push.
 //! - `... -- --record <path>` — additionally writes the sweep as JSON
 //!   (`BENCH_ingest_batch.json` holds such a run: `loop_*` columns are
 //!   the single-increment loop, `bulk_*` the one batch).
@@ -182,7 +182,7 @@ fn measure(fm: &FrequencyMatrix, size: usize, clustered: bool, budget_secs: f64)
     }
 }
 
-/// Smoke gate (CI, both feature sets): one batch must be bit-identical to
+/// Smoke gate (CI): one batch must be bit-identical to
 /// a loop of single increments, and both to a dense forward on the
 /// updated table — while the batch writes no more coefficients than the
 /// loop did.

@@ -4,9 +4,9 @@
 //! complexity claims of §IV–§VI with per-component numbers.
 //!
 //! The `hn_scaling` group measures the full HN forward+inverse pipeline at
-//! n = 2^16 … 2^20 cells on a serial executor and — when built with
-//! `--features parallel` — on an all-cores executor, so the engine speedup
-//! is directly visible in BENCH_*.json snapshots. The parallel path's
+//! n = 2^16 … 2^20 cells on a serial executor and — on multi-core
+//! machines — on an all-cores executor, so the engine speedup is directly
+//! visible in BENCH_*.json snapshots. The parallel path's
 //! output is bit-identical to the serial path's (asserted here, not only
 //! in the test suite).
 
@@ -25,7 +25,7 @@ fn bench_haar(c: &mut Criterion) {
     let t = HaarTransform::new(1 << 16);
     let src: Vec<f64> = (0..1 << 16).map(|i| (i % 251) as f64).collect();
     let mut dst = vec![0.0f64; t.output_len()];
-    let mut scratch = vec![0.0f64; t.scratch_len()];
+    let mut scratch = vec![0.0f64; t.state_len()];
     c.bench_function("haar_forward_64k", |b| {
         b.iter(|| t.forward(black_box(&src), &mut dst, &mut scratch))
     });
@@ -40,7 +40,7 @@ fn bench_nominal(c: &mut Criterion) {
     let t = NominalTransform::new(h);
     let src: Vec<f64> = (0..512).map(|i| (i % 97) as f64).collect();
     let mut dst = vec![0.0f64; t.output_len()];
-    let mut scratch = vec![0.0f64; t.scratch_len()];
+    let mut scratch = vec![0.0f64; t.state_len()];
     c.bench_function("nominal_forward_512", |b| {
         b.iter(|| t.forward(black_box(&src), &mut dst, &mut scratch))
     });

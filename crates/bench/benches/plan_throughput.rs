@@ -11,7 +11,7 @@
 //!   queries/sec per (m, workload) point plus the acceptance point.
 //! - `... -- --test` — smoke mode: one tiny point (m = 2^10, 64
 //!   queries), correctness assertions only; seconds, not minutes. CI
-//!   runs this on both feature sets.
+//!   runs this on every push.
 //! - `... -- --record <path>` — additionally writes the measured points
 //!   as JSON (the `BENCH_plan_throughput.json` before/after ledger is
 //!   assembled from two such runs).

@@ -7,7 +7,7 @@
 //! reason as `plan_throughput` (the offline criterion stub ignores CLI
 //! args):
 //!
-//! - `cargo bench --bench pool_scaling --features parallel` — full run:
+//! - `cargo bench --bench pool_scaling` — full run:
 //!   2-D publish (2^12 × 2^6 cells) at 1, 2, 4, … threads up to the
 //!   core count, each on a reused executor so the pool is warm.
 //! - `... -- --test` — smoke mode: tiny matrix, correctness assertion
@@ -15,8 +15,8 @@
 //!
 //! **Auto-skip**: scaling numbers from a box with one hardware thread
 //! are noise — more workers than cores just adds scheduling overhead to
-//! a fixed amount of work. On such boxes (like the single-CPU dev
-//! container) the full run prints the skip reason and exits cleanly, so
+//! a fixed amount of work. On such machines the full run prints the
+//! skip reason and exits cleanly, so
 //! CI and scripts can invoke it unconditionally. Smoke mode always
 //! runs: correctness does not need cores.
 
@@ -96,7 +96,7 @@ fn main() {
     let mut serial_secs = None;
     let mut t = 1;
     while t <= cores {
-        let mut exec = LaneExecutor::with_threads(t).with_parallel_threshold(1 << 14);
+        let mut exec = LaneExecutor::with_threads(t);
         let secs = best_publish(&mut exec, &fm, 0.5);
         let base = *serial_secs.get_or_insert(secs);
         println!("{t:>8} {secs:>13.6} {:>8.2}x", base / secs);

@@ -13,7 +13,7 @@
 //!   schemas, plus the acceptance point.
 //! - `... -- --test` — smoke mode: tiny points, correctness assertions
 //!   only (tiled == per-lane == pooled publish, bitwise); seconds, not
-//!   minutes. CI runs this on both feature sets.
+//!   minutes. CI runs this on every push.
 //! - `... -- --record <path>` — additionally writes the measured points
 //!   as JSON (the `BENCH_publish_throughput.json` before/after ledger is
 //!   assembled from two such runs).
@@ -25,7 +25,9 @@
 //! time has accumulated (minimum 5 iterations) and the *best* iteration
 //! is reported — best-of is the right statistic for a single-threaded
 //! CPU-bound kernel on a noisy shared box, since all perturbation is
-//! additive. The executor is constructed once per point so its ping-pong
+//! additive. The executor is serial — the configuration the committed
+//! `BENCH_publish_throughput.json` was recorded in; `pool_scaling` covers
+//! thread counts — and is constructed once per point so its ping-pong
 //! buffers and tile scratch amortize exactly as they do in a serving
 //! loop.
 
@@ -91,7 +93,7 @@ fn measure(exp: u32, ndim: usize, budget_secs: f64) -> Point {
     let dims = dims_for(exp, ndim);
     let fm = fm_for(&dims);
     let cfg = PriveletConfig::pure(1.0, 7);
-    let mut exec = LaneExecutor::new();
+    let mut exec = LaneExecutor::serial();
     // Warm the executor's buffers before timing.
     publish_privelet_with(&mut exec, &fm, &cfg).unwrap();
     let publish_secs = best_of(budget_secs, || {
@@ -127,9 +129,10 @@ fn assert_paths_agree() {
         ];
         for (name, exec) in &mut variants {
             let got = publish_privelet_with(exec, &fm, &cfg).unwrap();
+            let bits = |m: &NdMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                got.matrix.matrix().as_slice(),
-                want.matrix.matrix().as_slice(),
+                bits(got.matrix.matrix()),
+                bits(want.matrix.matrix()),
                 "{name} publish diverged from per-lane at dims {dims:?}"
             );
         }

@@ -497,7 +497,7 @@ mod tests {
         let src = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
         let mut c1 = vec![0.0; 8];
         let mut c2 = vec![0.0; 8];
-        let mut scratch = vec![0.0; t.scratch_len()];
+        let mut scratch = vec![0.0; t.state_len()];
         t.forward_alloc(&src, &mut c1);
         t.forward(&src, &mut c2, &mut scratch);
         assert_eq!(c1, c2);

@@ -37,7 +37,7 @@ impl LaneKernel for ForwardKernel<'_> {
         self.0.output_len()
     }
     fn scratch_len(&self) -> usize {
-        self.0.scratch_len()
+        self.0.state_len()
     }
     fn apply(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {
         self.0.forward(src, dst, scratch);
@@ -63,9 +63,9 @@ impl LaneKernel for InverseKernel<'_> {
         if self.refined {
             // Front half: the refined coefficient lane; back half: the
             // transform's own scratch.
-            self.transform.output_len() + self.transform.scratch_len()
+            self.transform.output_len() + self.transform.state_len()
         } else {
-            self.transform.scratch_len()
+            self.transform.state_len()
         }
     }
     fn apply(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {

@@ -149,7 +149,7 @@ mod tests {
         let mut back = [0.0; 4];
         t.inverse_alloc(&c, &mut back);
         assert_eq!(back, src);
-        assert_eq!(t.scratch_len(), 4);
+        assert_eq!(t.state_len(), 4);
     }
 
     #[test]

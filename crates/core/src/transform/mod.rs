@@ -172,7 +172,7 @@ mod tests {
             let n = t.input_len();
             let src: Vec<f64> = (0..n).map(|i| (i as f64) * 1.5 - 3.0).collect();
             let mut c = vec![0.0; t.output_len()];
-            let mut scratch = vec![0.0; t.scratch_len()];
+            let mut scratch = vec![0.0; t.state_len()];
             t.forward(&src, &mut c, &mut scratch);
             t.refine(&mut c); // no-op on exact coefficients
             let mut back = vec![0.0; n];

@@ -46,16 +46,11 @@ pub trait Transform1d: Sync {
     /// (`2·m` slots, leaves at `m + x`, slot 0 unused), the nominal
     /// leaf-sums by hierarchy node id (`node_count`), the identity lane
     /// itself (`|A|`). [`repair`](Self::repair) works on this state.
+    /// It is also the scratch length `forward` / `inverse` need.
     fn state_len(&self) -> usize;
 
-    /// Scratch slots `forward` / `inverse` need: the lane state, so
-    /// `scratch_len() == state_len()`.
-    fn scratch_len(&self) -> usize {
-        self.state_len()
-    }
-
     /// Forward transform of one lane: `src.len() == input_len()`,
-    /// `dst.len() == output_len()`, `scratch.len() >= scratch_len()`.
+    /// `dst.len() == output_len()`, `scratch.len() >= state_len()`.
     /// Every element of `dst` is written, and on return
     /// `scratch[..state_len()]` holds the lane's state: input position
     /// `x` sits at [`leaf_slot(x)`](Self::leaf_slot), every other slot is
@@ -63,7 +58,7 @@ pub trait Transform1d: Sync {
     fn forward(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]);
 
     /// Inverse transform of one lane: `src.len() == output_len()`,
-    /// `dst.len() == input_len()`, `scratch.len() >= scratch_len()`.
+    /// `dst.len() == input_len()`, `scratch.len() >= state_len()`.
     /// Every element of `dst` is written.
     fn inverse(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]);
 
@@ -184,7 +179,7 @@ pub trait Transform1d: Sync {
     where
         Self: Sized,
     {
-        let mut scratch = vec![0.0f64; self.scratch_len()];
+        let mut scratch = vec![0.0f64; self.state_len()];
         self.forward(src, dst, &mut scratch);
     }
 
@@ -193,7 +188,7 @@ pub trait Transform1d: Sync {
     where
         Self: Sized,
     {
-        let mut scratch = vec![0.0f64; self.scratch_len()];
+        let mut scratch = vec![0.0f64; self.state_len()];
         self.inverse(src, dst, &mut scratch);
     }
 }
@@ -219,7 +214,6 @@ pub(crate) mod oracle {
         updates: &[(usize, f64)],
     ) -> Result<Vec<usize>, TestCaseError> {
         let (n, out_n, s_n) = (t.input_len(), t.output_len(), t.state_len());
-        prop_assert_eq!(t.scratch_len(), s_n);
         let mut state = vec![f64::NAN; s_n];
         let mut old_c = vec![0.0f64; out_n];
         t.forward(old, &mut old_c, &mut state);

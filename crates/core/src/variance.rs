@@ -68,7 +68,7 @@ pub fn dense_dim_variance_factor(
     let weights = t.weights();
     let mut basis = vec![0.0f64; out_len];
     let mut image = vec![0.0f64; in_len];
-    let mut scratch = vec![0.0f64; out_len.max(t.scratch_len())];
+    let mut scratch = vec![0.0f64; out_len.max(t.state_len())];
     let mut factor = 0.0f64;
     for j in 0..out_len {
         basis.fill(0.0);

@@ -1,9 +1,9 @@
 //! The lane-execution engine: multi-stage axis transforms over reusable
-//! ping-pong buffers, optionally fanned out across threads.
+//! ping-pong buffers, fanned out across a persistent worker pool.
 //!
-//! [`map_lanes`](crate::lanes::map_lanes) allocates a fresh matrix per
-//! axis, which makes a d-dimensional wavelet transform cost d matrix-sized
-//! allocations per direction. The [`LaneExecutor`] instead owns two
+//! A lane map that allocates a fresh matrix per axis makes a
+//! d-dimensional wavelet transform cost d matrix-sized allocations per
+//! direction. The [`LaneExecutor`] instead owns two
 //! buffers sized to the largest intermediate and runs an arbitrary
 //! pipeline of [`AxisStage`]s front→back, swapping after each stage, so a
 //! full multi-axis transform performs **no matrix-sized** allocation
@@ -29,7 +29,8 @@
 //! outer-block boundary, and their width is capped so the tile scratch
 //! stays cache-sized ([`TILE_CELL_BUDGET`]).
 //!
-//! With the `parallel` cargo feature the lane range is split into
+//! Stages of at least [`parallel_threshold`](LaneExecutor::parallel_threshold)
+//! cells on a multi-threaded executor split their lane range into
 //! contiguous chunks executed on a persistent [`WorkerPool`] (spawned
 //! lazily on the first stage that crosses the cut-over and reused across
 //! all later stages and runs), one gather/scatter/scratch buffer set per
@@ -40,7 +41,6 @@
 //!
 //! [`WorkerPool`]: crate::pool::WorkerPool
 
-use crate::knob::env_usize_knob;
 use crate::ndmatrix::NdMatrix;
 use crate::pool::WorkerPool;
 use crate::{MatrixError, Result};
@@ -105,10 +105,8 @@ impl Default for LaneExecutor {
 
 /// Default parallel cut-over: stages below this many cells are not worth
 /// fanning out. Overridable per executor with
-/// [`LaneExecutor::with_parallel_threshold`] or process-wide with the
-/// `PRIVELET_PARALLEL_MIN_CELLS` environment variable (read at executor
-/// construction), so the cut-over can be tuned on real multi-core
-/// hardware without a rebuild.
+/// [`LaneExecutor::with_parallel_threshold`] (calibrate with the
+/// `pool_scaling` bench).
 pub const MIN_PARALLEL_CELLS: usize = 1 << 14;
 
 /// Default tile width for the strided-lane path: how many adjacent
@@ -117,9 +115,7 @@ pub const MIN_PARALLEL_CELLS: usize = 1 << 14;
 /// gather is fully consumed; the PR-8 calibration sweep (recorded in
 /// docs/architecture.md) showed the publish throughput plateau starts
 /// here and wider tiles only grow the scratch footprint. Overridable per
-/// executor with [`LaneExecutor::with_tile_lanes`] or process-wide with
-/// the `PRIVELET_TILE_LANES` environment variable (read at executor
-/// construction).
+/// executor with [`LaneExecutor::with_tile_lanes`].
 pub const DEFAULT_TILE_LANES: usize = 8;
 
 /// Upper bound on one tile buffer's size in f64 cells (`lane_len × T ≤`
@@ -129,27 +125,6 @@ pub const DEFAULT_TILE_LANES: usize = 8;
 /// on the lane lengths where tiling matters (the width degrades
 /// gracefully toward the per-lane walk for extremely long lanes).
 pub const TILE_CELL_BUDGET: usize = 1 << 16;
-
-/// The construction-time parallel threshold: the
-/// `PRIVELET_PARALLEL_MIN_CELLS` env override when set and parseable,
-/// [`MIN_PARALLEL_CELLS`] otherwise. `0` means "always fan out". A set
-/// but unparseable value is reported once per process on stderr instead
-/// of being silently ignored (via the shared [`knob`](crate::knob)
-/// helper).
-fn default_parallel_threshold() -> usize {
-    env_usize_knob(
-        "PRIVELET_PARALLEL_MIN_CELLS",
-        "a cell count",
-        MIN_PARALLEL_CELLS,
-    )
-}
-
-/// The construction-time tile width: the `PRIVELET_TILE_LANES` env
-/// override when set and parseable (clamped to ≥ 1), otherwise
-/// [`DEFAULT_TILE_LANES`]. Garbage warns once per process.
-fn default_tile_lanes() -> usize {
-    env_usize_knob("PRIVELET_TILE_LANES", "a lane count", DEFAULT_TILE_LANES).max(1)
-}
 
 /// The tile width actually used by one stage: the requested width,
 /// clamped so (a) contiguous stages (`inner == 1`) never gather at all,
@@ -172,22 +147,25 @@ pub(crate) fn effective_tile(
 }
 
 impl LaneExecutor {
-    /// An executor with the default worker count: available parallelism
-    /// when the `parallel` feature is enabled, 1 otherwise.
+    /// An executor with one worker per available CPU
+    /// ([`default_threads`]), the [`MIN_PARALLEL_CELLS`] cut-over and
+    /// [`DEFAULT_TILE_LANES`]-wide tiles. Stages at or above the cut-over
+    /// fan out to the pool; output is bitwise identical to
+    /// [`serial`](Self::serial) either way.
     pub fn new() -> Self {
         Self::with_threads(default_threads())
     }
 
     /// An executor pinned to `threads` workers (`0` is treated as 1). With
-    /// `threads == 1` — or without the `parallel` feature — every stage
-    /// runs on the calling thread.
+    /// `threads == 1` every stage runs on the calling thread and no pool
+    /// is ever spawned.
     pub fn with_threads(threads: usize) -> Self {
         LaneExecutor {
             front: Vec::new(),
             back: Vec::new(),
             threads: threads.max(1),
-            parallel_min_cells: default_parallel_threshold(),
-            tile_lanes: default_tile_lanes(),
+            parallel_min_cells: MIN_PARALLEL_CELLS,
+            tile_lanes: DEFAULT_TILE_LANES,
             pool: None,
         }
     }
@@ -200,8 +178,7 @@ impl LaneExecutor {
     /// Sets the parallel cut-over: stages with fewer than `min_cells`
     /// total cells run on the calling thread regardless of the worker
     /// count (`0` = always fan out). Builder-style so executors can be
-    /// tuned inline; overrides the `PRIVELET_PARALLEL_MIN_CELLS` env
-    /// default captured at construction.
+    /// tuned inline; the default is [`MIN_PARALLEL_CELLS`].
     pub fn with_parallel_threshold(mut self, min_cells: usize) -> Self {
         self.parallel_min_cells = min_cells;
         self
@@ -211,8 +188,8 @@ impl LaneExecutor {
     /// inner-index lanes are gathered, transformed and scattered per
     /// cache-blocked tile (`0` is treated as 1, i.e. the per-lane walk).
     /// Tiling only changes the memory access pattern — output is bitwise
-    /// identical for every width. Builder-style; overrides the
-    /// `PRIVELET_TILE_LANES` env default captured at construction.
+    /// identical for every width. Builder-style; the default is
+    /// [`DEFAULT_TILE_LANES`].
     pub fn with_tile_lanes(mut self, lanes: usize) -> Self {
         self.tile_lanes = lanes.max(1);
         self
@@ -314,9 +291,7 @@ impl LaneExecutor {
             // First stage that genuinely fans out: spawn the persistent
             // pool (threads − 1 workers; the calling thread runs chunk
             // 0). Later stages and runs reuse it — spawn-once is the
-            // whole point of the pool. Without the `parallel` feature
-            // every stage runs serially, so no pool is ever spawned.
-            #[cfg(feature = "parallel")]
+            // whole point of the pool.
             if workers > 1 && self.pool.is_none() {
                 self.pool = Some(WorkerPool::new(self.threads - 1));
             }
@@ -370,18 +345,10 @@ impl LaneExecutor {
     }
 }
 
-/// Default worker count for [`LaneExecutor::new`].
+/// Default worker count for [`LaneExecutor::new`]: the available
+/// parallelism, or 1 when it cannot be determined.
 pub fn default_threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Per-worker tile gather / output / scratch buffers. `tile_in` holds up
@@ -491,8 +458,8 @@ pub(crate) unsafe fn process_lanes(
 }
 
 /// Runs one stage: through the persistent pool when the run decided to
-/// fan out (`parallel` feature, `threads > 1`, a pool exists), serially
-/// on the calling thread otherwise. Fallible because a pooled kernel
+/// fan out (`threads > 1` and more than one lane), serially on the
+/// calling thread otherwise. Fallible because a pooled kernel
 /// panic surfaces as [`MatrixError::WorkerPanicked`] instead of
 /// unwinding across worker threads.
 #[allow(clippy::too_many_arguments)]
@@ -510,14 +477,11 @@ fn run_stage(
     let n_lanes = src.len() / in_len;
     debug_assert_eq!(dst.len(), n_lanes * out_len);
 
-    #[cfg(feature = "parallel")]
     if threads > 1 && n_lanes > 1 {
         if let Some(pool) = pool {
             return pool.dispatch(src, dst, kernel, in_len, out_len, inner, tile, threads);
         }
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = (threads, pool);
 
     let mut bufs = WorkerBufs::new(kernel, in_len, out_len, tile);
     // SAFETY: single caller covering every lane exactly once; `dst` is a
@@ -541,7 +505,7 @@ fn run_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanes::map_lanes;
+    use crate::lane_oracle::{bits, map_lanes};
 
     /// Reverses a lane.
     struct Reverse(usize);
@@ -672,6 +636,15 @@ mod tests {
     }
 
     #[test]
+    fn new_uses_every_available_cpu_with_the_compiled_defaults() {
+        let exec = LaneExecutor::new();
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(exec.threads(), cpus);
+        assert_eq!(exec.parallel_threshold(), MIN_PARALLEL_CELLS);
+        assert_eq!(exec.tile_lanes(), DEFAULT_TILE_LANES);
+    }
+
+    #[test]
     fn executor_is_reusable_across_shapes() {
         let mut exec = LaneExecutor::serial();
         for dims in [vec![8usize], vec![2, 9], vec![3, 3, 3], vec![2, 2]] {
@@ -768,31 +741,6 @@ mod tests {
         // 0 = always fan out.
         let eager = LaneExecutor::with_threads(4).with_parallel_threshold(0);
         assert_eq!(eager.effective_threads(1), 4);
-        // Default matches the compiled constant unless the env overrides
-        // it (don't mutate the environment here: std::env::set_var is a
-        // process-global race against parallel tests).
-        let default = default_parallel_threshold();
-        assert_eq!(LaneExecutor::new().parallel_threshold(), default);
-        if std::env::var("PRIVELET_PARALLEL_MIN_CELLS").is_err() {
-            assert_eq!(default, MIN_PARALLEL_CELLS);
-        }
-    }
-
-    #[test]
-    fn knob_defaults_reach_the_executor() {
-        // The fallback semantics themselves live in `crate::knob` (and are
-        // unit-tested there); here we only pin that the executor wires the
-        // shared helper through. Don't set variables — std::env::set_var
-        // is a process-global race against parallel tests, which is
-        // exactly why the knob parse is a pure function.
-        assert_eq!(
-            LaneExecutor::new().parallel_threshold(),
-            default_parallel_threshold()
-        );
-        assert_eq!(LaneExecutor::new().tile_lanes(), default_tile_lanes());
-        if std::env::var("PRIVELET_TILE_LANES").is_err() {
-            assert_eq!(LaneExecutor::new().tile_lanes(), DEFAULT_TILE_LANES);
-        }
     }
 
     #[test]
@@ -832,7 +780,7 @@ mod tests {
             for tile in [2, 3, 8, 64, 1 << 20] {
                 let mut tiled = LaneExecutor::serial().with_tile_lanes(tile);
                 let got = tiled.map_axis(&m, axis, &k).unwrap();
-                assert_eq!(got.as_slice(), want.as_slice(), "axis {axis} tile {tile}");
+                assert_eq!(bits(&got), bits(&want), "axis {axis} tile {tile}");
             }
         }
     }
@@ -846,15 +794,13 @@ mod tests {
         let mut lazy = LaneExecutor::with_threads(8).with_parallel_threshold(usize::MAX);
         let a = eager.map_axis(&m, 0, &k).unwrap();
         let b = lazy.map_axis(&m, 0, &k).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
+        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]
     fn multi_threaded_output_is_bit_identical() {
-        // Compiled in both feature configurations: without `parallel` the
-        // worker count collapses to the serial path, which must still give
-        // identical results. The matrix exceeds MIN_PARALLEL_CELLS so the
-        // feature build genuinely runs the threaded branch.
+        // The matrix exceeds MIN_PARALLEL_CELLS, so the wide executor
+        // genuinely fans every stage out to its pool.
         let m = sample(&[32, 32, 8, 4]);
         let mut serial = LaneExecutor::serial();
         let mut wide = LaneExecutor::with_threads(8);
@@ -862,7 +808,7 @@ mod tests {
             let k = Reverse(m.dims()[axis]);
             let a = serial.map_axis(&m, axis, &k).unwrap();
             let b = wide.map_axis(&m, axis, &k).unwrap();
-            assert_eq!(a.as_slice(), b.as_slice(), "axis {axis}");
+            assert_eq!(bits(&a), bits(&b), "axis {axis}");
         }
     }
 }

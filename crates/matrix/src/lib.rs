@@ -6,16 +6,15 @@
 //! - [`Shape`]: row-major shapes with stride arithmetic and coordinate
 //!   iteration ([`shape`]).
 //! - [`NdMatrix`]: a dense d-dimensional `f64` array ([`ndmatrix`]).
-//! - Lane maps: applying a 1-D function to every axis-aligned lane of a
-//!   matrix, possibly changing the length of that axis ([`lanes`]) — this is
-//!   exactly the operation the paper's multi-dimensional Haar–nominal
-//!   wavelet transform (standard decomposition, §VI-A) is built from.
-//! - [`LaneExecutor`]: the allocation-free, optionally multi-threaded
-//!   engine running pipelines of per-axis lane kernels over reusable
-//!   ping-pong buffers ([`executor`]) — the hot path under every
-//!   multi-dimensional transform in the workspace.
-//! - [`WorkerPool`]: the persistent worker threads behind the executor's
-//!   `parallel` feature — spawned once, fed stage chunks over channels,
+//! - [`LaneExecutor`]: the allocation-free, multi-threaded engine applying
+//!   pipelines of per-axis lane kernels — a 1-D function on every
+//!   axis-aligned lane of a matrix, possibly changing the length of that
+//!   axis — over reusable ping-pong buffers ([`executor`]). This is exactly
+//!   the operation the paper's multi-dimensional Haar–nominal wavelet
+//!   transform (standard decomposition, §VI-A) is built from, and the hot
+//!   path under every multi-dimensional transform in the workspace.
+//! - [`WorkerPool`]: the persistent worker threads the executor fans
+//!   large stages out to — spawned once, fed stage chunks over channels,
 //!   bit-identical to serial execution ([`pool`]).
 //! - [`PrefixSums`]: d-dimensional inclusive prefix sums answering
 //!   hyper-rectangle sums in O(2^d) ([`prefix`]) — the range-count query
@@ -28,8 +27,6 @@
 //! (n ≤ 10^7, m ≤ 2^26).
 
 pub mod executor;
-pub mod knob;
-pub mod lanes;
 pub mod ndmatrix;
 pub mod pool;
 pub mod prefix;
@@ -38,14 +35,20 @@ pub mod slice;
 pub mod view;
 
 pub use executor::{AxisStage, LaneExecutor, LaneKernel};
-pub use knob::{env_usize_knob, parse_usize_knob};
-pub use lanes::map_lanes;
 pub use ndmatrix::NdMatrix;
 pub use pool::WorkerPool;
 pub use prefix::PrefixSums;
 pub use shape::{CoordIter, Shape};
 pub use slice::{fix_axes, marginalize};
 pub use view::{rect_sum_naive, RectIter};
+
+// The per-lane oracle the integration suites share, compiled into the
+// unit tests too; the alias lets it name this crate the way they do.
+#[cfg(test)]
+extern crate self as privelet_matrix;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod lane_oracle;
 
 /// Errors produced by shape and matrix construction/access.
 #[derive(Debug, Clone, PartialEq, Eq)]

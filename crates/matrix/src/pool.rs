@@ -1,12 +1,13 @@
 //! A persistent worker pool for lane-stage execution.
 //!
-//! The `parallel` feature's original implementation spawned fresh
-//! `std::thread::scope` threads for **every stage** of every pipeline —
-//! a d-stage transform on a d-dimensional matrix paid d spawn/join
-//! rounds per call, and a publish runs several such pipelines. A
-//! [`WorkerPool`] spawns its threads once and feeds them stage chunks
-//! through per-worker channels, so the steady-state cost of fanning a
-//! stage out is a handful of channel sends, not thread creation.
+//! Spawning fresh `std::thread::scope` threads for **every stage** of
+//! every pipeline would make a d-stage transform on a d-dimensional
+//! matrix pay d spawn/join rounds per call, and a publish runs several
+//! such pipelines. A [`WorkerPool`] spawns its threads once and feeds
+//! them stage chunks through per-worker channels, so the steady-state
+//! cost of fanning a stage out is a handful of channel sends, not thread
+//! creation. [`LaneExecutor`](crate::LaneExecutor) owns one, spawned on
+//! its first stage that crosses the parallel cut-over.
 //!
 //! Determinism contract: a stage's lane range is split into contiguous
 //! chunks — `chunk = n_lanes.div_ceil(workers)`, rounded up to a
@@ -21,7 +22,10 @@
 //!
 //! Chunk 0 always runs on the dispatching thread: a pool of `N` workers
 //! therefore serves stages of up to `N + 1`-way parallelism, and a
-//! 1-thread executor never touches the pool at all.
+//! 1-thread executor never touches the pool at all. Construction never
+//! fails: a worker the OS refuses to spawn (e.g. `EAGAIN` under a
+//! process limit) is simply absent, and dispatch spreads the stage over
+//! the workers that exist — down to the calling thread alone.
 //!
 //! Lifecycle: jobs carry lifetime-erased pointers into the dispatcher's
 //! borrows, which is sound because [`dispatch`](WorkerPool::dispatch)
@@ -68,9 +72,10 @@ struct Job {
     done: mpsc::Sender<bool>,
 }
 
+#[derive(Debug)]
 struct Worker {
-    jobs: Option<mpsc::Sender<Job>>,
-    handle: Option<JoinHandle<()>>,
+    jobs: mpsc::Sender<Job>,
+    handle: JoinHandle<()>,
 }
 
 /// A fixed set of persistent worker threads executing lane-stage chunks.
@@ -81,29 +86,23 @@ pub struct WorkerPool {
     workers: Vec<Worker>,
 }
 
-impl std::fmt::Debug for Worker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Worker")
-            .field("alive", &self.handle.is_some())
-            .finish()
-    }
-}
-
 impl WorkerPool {
-    /// Spawns a pool of `workers` persistent threads (0 is a valid,
-    /// empty pool: every dispatch then runs entirely on the caller).
+    /// Spawns a pool of up to `workers` persistent threads (0 is a
+    /// valid, empty pool: every dispatch then runs entirely on the
+    /// caller). Threads the OS refuses to create are left out, so the
+    /// pool may hold fewer workers than requested; [`workers`] reports
+    /// how many it got.
+    ///
+    /// [`workers`]: Self::workers
     pub fn new(workers: usize) -> WorkerPool {
         let workers = (0..workers)
-            .map(|i| {
-                let (tx, rx) = mpsc::channel::<Job>();
+            .filter_map(|i| {
+                let (jobs, rx) = mpsc::channel::<Job>();
                 let handle = std::thread::Builder::new()
                     .name(format!("privelet-pool-{i}"))
                     .spawn(move || worker_loop(rx))
-                    .expect("spawn pool worker thread");
-                Worker {
-                    jobs: Some(tx),
-                    handle: Some(handle),
-                }
+                    .ok()?;
+                Some(Worker { jobs, handle })
             })
             .collect();
         WorkerPool { workers }
@@ -209,12 +208,7 @@ impl WorkerPool {
                 },
                 done: done_tx.clone(),
             };
-            match self.workers[w - 1]
-                .jobs
-                .as_ref()
-                .expect("pool is live")
-                .send(job)
-            {
+            match self.workers[w - 1].jobs.send(job) {
                 Ok(()) => sent += 1,
                 // The worker is gone (it can only have died outside
                 // `catch_unwind`, which is effectively unreachable);
@@ -274,13 +268,14 @@ impl Drop for WorkerPool {
     /// `catch_unwind` (unreachable in practice) is reaped, not
     /// re-panicked.
     fn drop(&mut self) {
-        for w in &mut self.workers {
-            w.jobs = None;
-        }
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
-            }
+        // Close every channel before the first join, so all workers wind
+        // down concurrently instead of one join at a time.
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut self.workers)
+            .into_iter()
+            .map(|w| w.handle)
+            .collect();
+        for handle in handles {
+            let _ = handle.join();
         }
     }
 }

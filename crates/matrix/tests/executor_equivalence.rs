@@ -5,13 +5,14 @@
 //! path is **bit-identical** to the serial path, and (c) the
 //! cache-blocked tiled walk is **bit-identical** to the per-lane walk at
 //! every tile width. Matrices here are larger than the engine's parallel
-//! cut-over threshold so that, when built with `--features parallel`,
-//! the multi-threaded code path really runs (without the feature the
-//! same assertions hold trivially and keep the suite compiling in both
-//! configurations).
+//! cut-over threshold, so multi-threaded executors really fan their
+//! stages out to the worker pool.
 
-use privelet_matrix::{map_lanes, AxisStage, LaneExecutor, LaneKernel, NdMatrix};
+mod support;
+
+use privelet_matrix::{AxisStage, LaneExecutor, LaneKernel, NdMatrix};
 use proptest::prelude::*;
+use support::{bits, map_lanes};
 
 /// A deliberately asymmetric kernel: output length differs from input,
 /// every output mixes several inputs, and scratch is exercised.
@@ -93,7 +94,8 @@ fn serial_executor_matches_map_lanes_on_every_axis() {
             };
             let got = exec.map_axis(&m, axis, &kernel).unwrap();
             let want = map_lanes(&m, axis, dims[axis] + 5, mix_reference).unwrap();
-            assert_eq!(got, want, "dims {dims:?} axis {axis}");
+            assert_eq!(got.dims(), want.dims());
+            assert_eq!(bits(&got), bits(&want), "dims {dims:?} axis {axis}");
         }
     }
 }
@@ -114,8 +116,8 @@ fn parallel_executor_is_bit_identical_to_serial() {
                 let b = wide.map_axis(&m, axis, &kernel).unwrap();
                 // Bit-identical, not approximately equal.
                 assert_eq!(
-                    a.as_slice(),
-                    b.as_slice(),
+                    bits(&a),
+                    bits(&b),
                     "dims {dims:?} axis {axis} threads {threads}"
                 );
             }
@@ -162,7 +164,7 @@ fn parallel_pipeline_is_bit_identical_to_serial_pipeline() {
         .run(&m, &stages(&k0, &k1, &k2))
         .unwrap();
     assert_eq!(a.dims(), &[31, 17, 64]);
-    assert_eq!(a.as_slice(), b.as_slice());
+    assert_eq!(bits(&a), bits(&b));
 }
 
 /// The fixed tile-width grid every randomized shape is checked against:
@@ -179,9 +181,7 @@ proptest! {
     /// Tiled == per-lane == pooled, bitwise, over random 1–4-dim shapes
     /// with non-power-of-two extents, on every axis, across the tile
     /// grid. The per-lane serial walk (`tile = 1`) is the reference; a
-    /// multi-threaded executor at the same width covers the pooled path
-    /// under `--features parallel` (and collapses to serial without it,
-    /// keeping the suite green in both configurations).
+    /// multi-threaded executor at the same width covers the pooled path.
     #[test]
     fn tiled_walk_is_bit_identical_across_shapes_and_widths(
         dims in prop::collection::vec(1usize..=13, 1..=4),
@@ -193,7 +193,7 @@ proptest! {
             let kernel = Mix { in_len: dims[axis], out_len: dims[axis] + out_delta };
             let mut reference = LaneExecutor::serial().with_tile_lanes(1);
             // Fan out unconditionally so small random shapes still cross
-            // the pooled path when the feature is on.
+            // the pooled path.
             let want = reference.map_axis(&m, axis, &kernel).unwrap();
             for tile in TILE_GRID {
                 let mut serial = LaneExecutor::serial().with_tile_lanes(tile);
@@ -203,11 +203,11 @@ proptest! {
                 let a = serial.map_axis(&m, axis, &kernel).unwrap();
                 let b = pooled.map_axis(&m, axis, &kernel).unwrap();
                 prop_assert_eq!(
-                    a.as_slice(), want.as_slice(),
+                    bits(&a), bits(&want),
                     "serial dims {:?} axis {} tile {}", dims, axis, tile
                 );
                 prop_assert_eq!(
-                    b.as_slice(), want.as_slice(),
+                    bits(&b), bits(&want),
                     "pooled dims {:?} axis {} tile {} threads {}", dims, axis, tile, threads
                 );
             }
@@ -241,8 +241,8 @@ fn tile_boundary_edges_are_bit_identical() {
                 let mut tiled = LaneExecutor::serial().with_tile_lanes(tile);
                 let got = tiled.map_axis(&m, axis, &kernel).unwrap();
                 assert_eq!(
-                    got.as_slice(),
-                    want.as_slice(),
+                    bits(&got),
+                    bits(&want),
                     "dims {dims:?} axis {axis} tile {tile}"
                 );
             }
@@ -269,5 +269,89 @@ fn warm_executor_never_leaks_previous_results() {
     };
     let got = exec.map_axis(&small, 0, &kernel_small).unwrap();
     let want = map_lanes(&small, 0, 4, mix_reference).unwrap();
-    assert_eq!(got, want);
+    assert_eq!(got.dims(), want.dims());
+    assert_eq!(bits(&got), bits(&want));
+}
+
+// The oracle itself: `map_lanes` visits lanes in row-major order, sees
+// the right cells, and reshapes the mapped axis.
+
+fn sample_2x3() -> NdMatrix {
+    NdMatrix::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap()
+}
+
+#[test]
+fn oracle_identity_preserves_matrix() {
+    let m = sample_2x3();
+    for axis in 0..2 {
+        let out = map_lanes(&m, axis, m.dims()[axis], |src, dst| {
+            dst.copy_from_slice(src);
+        })
+        .unwrap();
+        assert_eq!(out, m);
+    }
+}
+
+#[test]
+fn oracle_sees_columns_along_axis0_and_rows_along_axis1() {
+    let m = sample_2x3();
+    let mut seen = Vec::new();
+    map_lanes(&m, 0, 2, |src, dst| {
+        seen.push(src.to_vec());
+        dst.copy_from_slice(src);
+    })
+    .unwrap();
+    assert_eq!(seen, vec![vec![1.0, 4.0], vec![2.0, 5.0], vec![3.0, 6.0]]);
+    seen.clear();
+    map_lanes(&m, 1, 3, |src, dst| {
+        seen.push(src.to_vec());
+        dst.copy_from_slice(src);
+    })
+    .unwrap();
+    assert_eq!(seen, vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+}
+
+#[test]
+fn oracle_can_grow_and_shrink_the_axis() {
+    let m = sample_2x3();
+    // Broadcast each lane's sum into a length-4 vector.
+    let grown = map_lanes(&m, 0, 4, |src, dst| {
+        let s: f64 = src.iter().sum();
+        dst.fill(s);
+    })
+    .unwrap();
+    assert_eq!(grown.dims(), &[4, 3]);
+    assert_eq!(grown.get(&[0, 0]).unwrap(), 5.0);
+    assert_eq!(grown.get(&[3, 2]).unwrap(), 9.0);
+    let shrunk = map_lanes(&m, 1, 1, |src, dst| {
+        dst[0] = src.iter().sum();
+    })
+    .unwrap();
+    assert_eq!(shrunk.dims(), &[2, 1]);
+    assert_eq!(shrunk.get(&[0, 0]).unwrap(), 6.0);
+    assert_eq!(shrunk.get(&[1, 0]).unwrap(), 15.0);
+}
+
+#[test]
+fn oracle_maps_the_middle_axis_of_a_cube() {
+    let m = NdMatrix::from_vec(&[2, 2, 2], (0..8).map(|v| v as f64).collect()).unwrap();
+    let out = map_lanes(&m, 1, 2, |src, dst| {
+        dst[0] = src[1];
+        dst[1] = src[0];
+    })
+    .unwrap();
+    for a in 0..2 {
+        for b in 0..2 {
+            for c in 0..2 {
+                assert_eq!(out.get(&[a, b, c]).unwrap(), m.get(&[a, 1 - b, c]).unwrap());
+            }
+        }
+    }
+}
+
+#[test]
+fn oracle_rejects_bad_axis_and_zero_out_len() {
+    let m = sample_2x3();
+    assert!(map_lanes(&m, 2, 3, |_, _| {}).is_err());
+    assert!(map_lanes(&m, 0, 0, |_, _| {}).is_err());
 }

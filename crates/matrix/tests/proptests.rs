@@ -1,7 +1,55 @@
 //! Property tests for the matrix substrate.
 
-use privelet_matrix::{map_lanes, rect_sum_naive, NdMatrix, PrefixSums, Shape};
+use privelet_matrix::{rect_sum_naive, LaneExecutor, LaneKernel, NdMatrix, PrefixSums, Shape};
 use proptest::prelude::*;
+
+/// A length-preserving lane kernel defined by a per-lane function.
+struct LaneFn {
+    len: usize,
+    f: fn(&[f64], &mut [f64]),
+}
+
+impl LaneKernel for LaneFn {
+    fn input_len(&self) -> usize {
+        self.len
+    }
+    fn output_len(&self) -> usize {
+        self.len
+    }
+    fn apply(&self, src: &[f64], dst: &mut [f64], _scratch: &mut [f64]) {
+        (self.f)(src, dst)
+    }
+}
+
+fn copy(s: &[f64], d: &mut [f64]) {
+    d.copy_from_slice(s);
+}
+
+fn reverse(s: &[f64], d: &mut [f64]) {
+    for (i, &v) in s.iter().enumerate() {
+        d[s.len() - 1 - i] = v;
+    }
+}
+
+fn scale2(s: &[f64], d: &mut [f64]) {
+    for (o, &v) in d.iter_mut().zip(s) {
+        *o = v * 2.0;
+    }
+}
+
+/// Applies `f` to every lane of `m` along `axis` through the executor.
+fn map_axis(
+    exec: &mut LaneExecutor,
+    m: &NdMatrix,
+    axis: usize,
+    f: fn(&[f64], &mut [f64]),
+) -> NdMatrix {
+    let kernel = LaneFn {
+        len: m.dims()[axis],
+        f,
+    };
+    exec.map_axis(m, axis, &kernel).unwrap()
+}
 
 /// Strategy: a random shape with 1..=4 dims, each of size 1..=6.
 fn shape_strategy() -> impl Strategy<Value = Vec<usize>> {
@@ -59,7 +107,7 @@ proptest! {
     #[test]
     fn identity_lane_map_roundtrip(m in matrix_strategy(), axis_seed in 0usize..4) {
         let axis = axis_seed % m.ndim();
-        let out = map_lanes(&m, axis, m.dims()[axis], |s, d| d.copy_from_slice(s)).unwrap();
+        let out = map_axis(&mut LaneExecutor::new(), &m, axis, copy);
         prop_assert_eq!(out, m);
     }
 
@@ -67,13 +115,9 @@ proptest! {
     #[test]
     fn double_reverse_roundtrip(m in matrix_strategy(), axis_seed in 0usize..4) {
         let axis = axis_seed % m.ndim();
-        let rev = |s: &[f64], d: &mut [f64]| {
-            for (i, &v) in s.iter().enumerate() {
-                d[s.len() - 1 - i] = v;
-            }
-        };
-        let once = map_lanes(&m, axis, m.dims()[axis], rev).unwrap();
-        let twice = map_lanes(&once, axis, m.dims()[axis], rev).unwrap();
+        let mut exec = LaneExecutor::new();
+        let once = map_axis(&mut exec, &m, axis, reverse);
+        let twice = map_axis(&mut exec, &once, axis, reverse);
         prop_assert_eq!(twice, m);
     }
 
@@ -94,13 +138,11 @@ proptest! {
         if m.ndim() < 2 {
             return Ok(());
         }
-        let scale2 = |s: &[f64], d: &mut [f64]| {
-            for (o, &v) in d.iter_mut().zip(s.iter()) {
-                *o = v * 2.0;
-            }
-        };
-        let a = map_lanes(&map_lanes(&m, 0, m.dims()[0], scale2).unwrap(), 1, m.dims()[1], scale2).unwrap();
-        let b = map_lanes(&map_lanes(&m, 1, m.dims()[1], scale2).unwrap(), 0, m.dims()[0], scale2).unwrap();
+        let mut exec = LaneExecutor::new();
+        let a0 = map_axis(&mut exec, &m, 0, scale2);
+        let a = map_axis(&mut exec, &a0, 1, scale2);
+        let b1 = map_axis(&mut exec, &m, 1, scale2);
+        let b = map_axis(&mut exec, &b1, 0, scale2);
         prop_assert_eq!(a, b);
     }
 }

@@ -1,11 +1,9 @@
 //! Lifecycle and equivalence suite for the persistent [`WorkerPool`].
 //!
-//! The pool module compiles in both feature configurations (the
-//! `parallel` feature only controls whether `LaneExecutor` routes
-//! through it), so everything here runs under plain `cargo test` too —
-//! CI additionally runs it under `--features parallel` with
-//! `PRIVELET_STRESS_ITERS=64` so the executor-level assertions cover
-//! the genuinely threaded path.
+//! Every multi-threaded `LaneExecutor` routes its large stages through
+//! the pool, so the executor-level tests here run the genuinely threaded
+//! path; CI repeats the suite in release mode with
+//! `PRIVELET_STRESS_ITERS=64`.
 //!
 //! Covered contracts:
 //! - pooled dispatch is **bit-identical** to the serial lane walk, at
@@ -19,11 +17,14 @@
 //!   [`MatrixError::WorkerPanicked`] — not a hang, not a process abort —
 //!   and the pool stays usable afterwards.
 
-use privelet_matrix::{map_lanes, LaneExecutor, LaneKernel, MatrixError, NdMatrix, WorkerPool};
+mod support;
+
+use privelet_matrix::{LaneExecutor, LaneKernel, MatrixError, NdMatrix, WorkerPool};
 use proptest::prelude::*;
+use support::{bits, map_lanes};
 
 /// Stress iterations: `PRIVELET_STRESS_ITERS` when set (CI), else
-/// `default` — kept small because the dev container is single-CPU.
+/// `default` — kept small so debug runs on few-core machines stay fast.
 fn stress_iters(default: usize) -> usize {
     std::env::var("PRIVELET_STRESS_ITERS")
         .ok()
@@ -266,12 +267,9 @@ fn worker_panic_is_an_error_not_a_hang_and_pool_survives() {
     assert_eq!(dst, want);
 }
 
-/// Executor-level: with the `parallel` feature a kernel panic inside a
-/// fanned-out stage comes back as `Err(WorkerPanicked)` from `run`, and
-/// the executor (pool included) remains usable. Without the feature the
-/// stage runs on the calling thread and panics there, so this test is
-/// feature-gated.
-#[cfg(feature = "parallel")]
+/// Executor-level: a kernel panic inside a fanned-out stage comes back
+/// as `Err(WorkerPanicked)` from `run`, and the executor (pool included)
+/// remains usable.
 #[test]
 fn executor_surfaces_worker_panic_as_error() {
     let mut exec = LaneExecutor::with_threads(4).with_parallel_threshold(0);
@@ -292,14 +290,13 @@ fn executor_surfaces_worker_panic_as_error() {
     let clean = NdMatrix::from_vec(&[32, 8], lane_data(32 * 8)).unwrap();
     let got = exec.map_axis(&clean, 1, &k).unwrap();
     let want = LaneExecutor::serial().map_axis(&clean, 1, &k).unwrap();
-    assert_eq!(got.as_slice(), want.as_slice());
+    assert_eq!(bits(&got), bits(&want));
 }
 
 /// The executor spawns its pool lazily and keeps it across runs: no
 /// worker thread exits between runs (a respawn-per-run implementation
 /// would churn guards on every call), and dropping the executor joins
 /// exactly the `threads − 1` workers it spawned once.
-#[cfg(feature = "parallel")]
 #[test]
 fn executor_pool_is_spawned_once_and_joined_on_drop() {
     let iters = stress_iters(8);
@@ -314,7 +311,7 @@ fn executor_pool_is_spawned_once_and_joined_on_drop() {
     let first = exec.map_axis(&m, 1, &k).unwrap();
     for _ in 0..iters {
         let again = exec.map_axis(&m, 1, &k).unwrap();
-        assert_eq!(again.as_slice(), first.as_slice());
+        assert_eq!(bits(&again), bits(&first));
         assert_eq!(
             exits.load(Ordering::SeqCst),
             0,
@@ -327,12 +324,4 @@ fn executor_pool_is_spawned_once_and_joined_on_drop() {
         2,
         "drop must join the two spawned-once workers"
     );
-}
-
-// `LaneExecutor` is used unconditionally only under the parallel
-// feature; reference it so the default build stays warning-free.
-#[cfg(not(feature = "parallel"))]
-#[allow(dead_code)]
-fn _uses_executor() {
-    let _ = LaneExecutor::serial();
 }

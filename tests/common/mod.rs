@@ -106,7 +106,7 @@ pub fn distinct_triples(schema: &Schema, queries: &[RangeQuery]) -> usize {
 /// Iteration count for thread-stress loops: the `PRIVELET_STRESS_ITERS`
 /// environment variable when set (CI runs the concurrent suite under
 /// `--release` with a higher value), otherwise `default` — kept small
-/// because the dev container is single-CPU.
+/// so debug runs on few-core machines stay fast.
 pub fn stress_iters(default: usize) -> usize {
     std::env::var("PRIVELET_STRESS_ITERS")
         .ok()

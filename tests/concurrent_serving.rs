@@ -15,8 +15,8 @@
 //! 3. **Compile-time shareability** — `Send + Sync` static assertions
 //!    for the plan, the release core, the engine and the cache.
 //!
-//! Thread-stress iteration counts are bounded by default (the dev
-//! container is single-CPU) and scaled up in CI via the
+//! Thread-stress iteration counts are bounded by default (debug runs
+//! on few-core machines stay fast) and scaled up in CI via the
 //! `PRIVELET_STRESS_ITERS` environment variable.
 
 mod common;

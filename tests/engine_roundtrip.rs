@@ -10,6 +10,11 @@ use privelet_repro::matrix::{LaneExecutor, NdMatrix};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
+/// The matrix's cells as raw bit patterns, for bit-for-bit assertions.
+fn bits(m: &NdMatrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 /// One random dimension: ordinal, nominal (random hierarchy), or SA.
 #[derive(Debug, Clone)]
 enum DimSpec {
@@ -94,10 +99,10 @@ proptest! {
         let mut wide = LaneExecutor::with_threads(8);
         let c1 = hn.forward_with(&mut serial, &m).unwrap();
         let c2 = hn.forward_with(&mut wide, &m).unwrap();
-        prop_assert_eq!(c1.as_slice(), c2.as_slice());
+        prop_assert_eq!(bits(&c1), bits(&c2));
         let b1 = hn.inverse_refined_with(&mut serial, &c1).unwrap();
         let b2 = hn.inverse_refined_with(&mut wide, &c1).unwrap();
-        prop_assert_eq!(b1.as_slice(), b2.as_slice());
+        prop_assert_eq!(bits(&b1), bits(&b2));
     }
 
     /// The cache-blocked tile width never changes what the engine
@@ -125,17 +130,17 @@ proptest! {
                 .with_tile_lanes(tile);
             for exec in [&mut serial, &mut pooled] {
                 let c = hn.forward_with(exec, &m).unwrap();
-                prop_assert_eq!(c.as_slice(), c_ref.as_slice(), "forward tile {}", tile);
+                prop_assert_eq!(bits(&c), bits(&c_ref), "forward tile {}", tile);
                 let b = hn.inverse_refined_with(exec, &c).unwrap();
-                prop_assert_eq!(b.as_slice(), b_ref.as_slice(), "inverse tile {}", tile);
+                prop_assert_eq!(bits(&b), bits(&b_ref), "inverse tile {}", tile);
             }
         }
     }
 }
 
 /// A fixed large mixed case that crosses the engine's parallel threshold,
-/// so `--features parallel` builds genuinely exercise the threaded path
-/// end to end (the proptest shapes above are mostly small).
+/// so the threaded path runs end to end at the default cut-over (the
+/// proptest shapes above are mostly small).
 #[test]
 fn large_mixed_schema_roundtrips_and_matches_across_executors() {
     let schema = Schema::new(vec![
@@ -155,11 +160,11 @@ fn large_mixed_schema_roundtrips_and_matches_across_executors() {
     let mut wide = LaneExecutor::with_threads(8);
     let c_serial = hn.forward_with(&mut serial, &m).unwrap();
     let c_wide = hn.forward_with(&mut wide, &m).unwrap();
-    assert_eq!(c_serial.as_slice(), c_wide.as_slice());
+    assert_eq!(bits(&c_serial), bits(&c_wide));
 
     let back_serial = hn.inverse_refined_with(&mut serial, &c_serial).unwrap();
     let back_wide = hn.inverse_refined_with(&mut wide, &c_serial).unwrap();
-    assert_eq!(back_serial.as_slice(), back_wide.as_slice());
+    assert_eq!(bits(&back_serial), bits(&back_wide));
     for (a, b) in m.as_slice().iter().zip(back_serial.as_slice()) {
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }

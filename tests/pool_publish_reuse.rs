@@ -2,10 +2,8 @@
 //! reused for a sequence of publishes (the pool spawns once on the
 //! first fanned-out stage and serves every later pipeline) must produce
 //! bit-identical releases to a fresh executor per publish — and to the
-//! serial reference executor. Built in both feature configurations: the
-//! assertions are only non-trivial under `--features parallel` (where
-//! the reused executor genuinely routes through its pool), but they
-//! must also hold, trivially, without it.
+//! serial reference executor. The reused executor genuinely routes every
+//! stage through its pool.
 
 mod common;
 
