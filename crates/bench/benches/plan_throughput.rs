@@ -1,8 +1,8 @@
 //! `plan_throughput`: queries/sec through the compiled-plan hot path.
 //!
-//! The arena-execution optimisation (sorted spans + 4-wide unrolled
-//! sparse dot + locality-ordered distinct evaluation) is judged by this
-//! single number: how many queries per second `answer_plan` sustains at
+//! Plan execution (interned supports in one arena + the shared 4-wide
+//! unrolled sparse dot + locality-ordered distinct evaluation) is judged
+//! by this single number: how many queries per second `answer_plan` sustains at
 //! m = 2^18 with a 1024-query workload (the ISSUE-6 acceptance point).
 //! Criterion's offline stub ignores CLI arguments, so this bench is a
 //! hand-written harness:
@@ -92,18 +92,17 @@ fn measure(exp: u32, n_queries: usize, budget_secs: f64) -> Point {
     let queries = workload_for(&schema, n_queries);
 
     let plan = coeff.plan(&queries).unwrap();
-    // Correctness gate before timing: the plan path must agree with the
-    // online per-query loop. The plan's unrolled dot sums each support
-    // in a different order than the online path, so the comparison is
-    // 1e-12 relative (the summation-order policy in
-    // docs/architecture.md), not bitwise.
-    let batch = coeff.answer_plan(&plan).unwrap();
+    // Correctness gate before timing: the plan path runs the online
+    // path's derivation and walk, so it must equal the online per-query
+    // loop bit for bit — value and std-dev.
+    let batch = coeff.answer_plan_with_error(&plan).unwrap();
     assert_eq!(batch.len(), queries.len());
-    for (q, &got) in queries.iter().zip(&batch) {
-        let want = coeff.answer(q).unwrap();
-        assert!(
-            (got - want).abs() <= 1e-12 * want.abs().max(1.0),
-            "plan vs online at 2^{exp}: {got} vs {want}"
+    for (q, got) in queries.iter().zip(&batch) {
+        let want = coeff.answer_with_error(q).unwrap();
+        assert_eq!(
+            (got.value.to_bits(), got.std_dev.to_bits()),
+            (want.value.to_bits(), want.std_dev.to_bits()),
+            "plan vs online at 2^{exp}: {got:?} vs {want:?}"
         );
     }
 

@@ -142,16 +142,15 @@ fn bench_batched(c: &mut Criterion) {
             let queries: Vec<RangeQuery> =
                 catalog.iter().cycle().take(n_queries).cloned().collect();
 
-            // Sanity: the compiled plan and the per-query loop agree to
-            // 1e-12 relative — the plan's arena kernel may sum supports
-            // in a different order than the online dot (summation-order
-            // policy, docs/architecture.md).
+            // Sanity: the compiled plan and the per-query loop run one
+            // derivation and one walk, so they agree bit for bit.
             let plan = coeff.plan(&queries).unwrap();
             let batch = coeff.answer_plan(&plan).unwrap();
             for (q, want) in queries.iter().zip(&batch) {
                 let got = coeff.answer(q).unwrap();
-                assert!(
-                    (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
                     "2^{exp}: online {got} vs plan {want}"
                 );
             }

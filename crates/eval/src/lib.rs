@@ -12,16 +12,9 @@
 //!   ([`ExactEvaluate`]); kept out of the serving tier on purpose, see
 //!   the module docs.
 //! - [`timing`] — runs the computation-time sweeps behind Figures 10–11.
-//! - [`serving`] — compares the serving engine's paths on one release:
-//!   coefficient-domain answering via a compiled batch plan, via the
-//!   cached online loop (O(polylog m) per query), and via scoped
-//!   threads sharing one plan and one engine, versus reconstruct +
-//!   prefix sums (O(m) build), checking they agree and reporting the
-//!   plan's dedup ratio plus the online and per-shard cache counters —
-//!   and, for error
-//!   accounting, the workload's mean predicted std-dev, the
-//!   sparse-vs-dense exact-variance timing, and an across-seed
-//!   z-score calibration check ([`serving::calibration_check`]).
+//! - [`serving`] — error-bar calibration of the serving engine: an
+//!   across-seed z-score check that annotated answers' predicted
+//!   std-devs match the empirical noise ([`serving::calibration_check`]).
 //! - [`report`] — fixed-width table / markdown rendering of the series so
 //!   each bench target prints the same rows the paper plots.
 
@@ -41,10 +34,7 @@ pub use accuracy::{run_accuracy, AccuracyRun, MechanismSeries};
 pub use config::{AccuracyConfig, Scale};
 pub use ground_truth::ExactEvaluate;
 pub use report::{print_figure, print_timing};
-pub use serving::{
-    calibration_check, compare_serving_paths, CalibrationReport, ServingReport, CONCURRENT_THREADS,
-    VARIANCE_TIMING_QUERIES,
-};
+pub use serving::{calibration_check, CalibrationReport};
 pub use timing::{run_timing_m_sweep, run_timing_n_sweep, TimingPoint};
 
 /// Errors produced by the harness.

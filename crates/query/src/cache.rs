@@ -1,20 +1,22 @@
 //! Bounded LRU memoization of per-dimension query supports.
 //!
-//! The online one-query-at-a-time serving path re-derives each
-//! dimension's sparse support (`Transform1d::query_weights`) on every
-//! request, even though OLAP traffic repeats the same predicate
-//! intervals dimension after dimension. [`ShardedSupportCache`] memoizes
-//! supports keyed on `(dim, lo, hi)` so repeated predicates across
-//! requests amortize the derivation the same way a compiled
-//! [`QueryPlan`](crate::QueryPlan) amortizes it within one batch.
+//! Every answering path derives each dimension's sparse support with
+//! one function, `derive` (`Transform1d::query_weights`, the variance
+//! factor, the stride premultiply). Online one-query-at-a-time traffic
+//! would re-derive on every request, even though OLAP traffic repeats
+//! the same predicate intervals dimension after dimension.
+//! [`ShardedSupportCache`] memoizes supports keyed on `(dim, lo, hi)` so
+//! repeated predicates across requests amortize the derivation the same
+//! way a compiled [`QueryPlan`](crate::QueryPlan) amortizes it within
+//! one batch.
 //!
 //! The cache is bounded (least-recently-used eviction) and counts hits,
 //! misses and evictions, so serving tiers can report hit rates and size
-//! the capacity. Each entry holds one dimension's weight pairs behind
-//! an [`Arc`] — `O(polylog m)` of them on Haar/nominal dimensions, but
-//! up to O(interval length) on identity-transformed (SA) dimensions,
-//! whose supports are the covered cells — so a hit is one clone of a
-//! pointer, never of the support.
+//! the capacity. Each entry holds one dimension's offsets and weights
+//! behind an [`Arc`] — `O(polylog m)` of them on Haar/nominal
+//! dimensions, but up to O(interval length) on identity-transformed
+//! (SA) dimensions, whose supports are the covered cells — so a hit is
+//! one clone of a pointer, never of the support.
 //!
 //! Keys are spread across N independently locked LRU shards: concurrent
 //! lookups of different supports hash to different shards and never
@@ -24,6 +26,8 @@
 //! across the derivation, so each distinct `(dim, lo, hi)` key is
 //! derived at most once per residency in its shard.
 
+use crate::{QueryError, Result};
+use privelet::transform::{HnTransform, Transform1d};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -34,30 +38,65 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub type SupportKey = (usize, usize, usize);
 
 /// One dimension's derived query support plus its precomputed noise
-/// accounting: the sparse `(coefficient index, weight)` pairs of the
-/// interval-sum functional, and the per-dimension variance factor
+/// accounting: the sparse offsets and weights of the interval-sum
+/// functional, and the per-dimension variance factor
 /// `Σ_j u(j)²/W(j)²` the exact-variance formula consumes
 /// (`Transform1d::support_variance_factor` — an O(|support|) fold done
 /// once at derivation time, so every cached or interned support carries
 /// its error accounting for free).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DimSupport {
-    /// `(coefficient index, weight)` pairs with strictly nonzero weights.
-    pub weights: Vec<(usize, f64)>,
+    /// Strictly ascending linear offsets: each is a coefficient index
+    /// along this dimension premultiplied by the dimension's row-major
+    /// stride in the coefficient matrix, so a dot adds it straight to a
+    /// linear base address.
+    pub offsets: Vec<usize>,
+    /// The strictly nonzero weight of each offset (parallel to
+    /// `offsets`).
+    pub weights: Vec<f64>,
     /// The per-dimension variance factor of this support.
     pub variance_factor: f64,
+}
+
+/// Derives one dimension's support: the validated interval-sum weights
+/// of `[lo, hi]` on dimension `dim`, their variance factor (folded over
+/// the unscaled coefficient indices), then every index premultiplied by
+/// `strides[dim]`. The one derivation both the online path and plan
+/// compilation run.
+pub(crate) fn derive(
+    transform: &HnTransform,
+    strides: &[usize],
+    dim: usize,
+    lo: usize,
+    hi: usize,
+) -> Result<DimSupport> {
+    let pairs = transform
+        .query_weights_for_dim(dim, lo, hi)
+        .map_err(QueryError::from)?;
+    let variance_factor = transform.transforms()[dim].support_variance_factor(&pairs);
+    let (offsets, weights): (Vec<usize>, Vec<f64>) =
+        pairs.iter().map(|&(k, w)| (k * strides[dim], w)).unzip();
+    // Every transform emits strictly ascending indices (pinned by
+    // `query_weights_boundaries`), so a dot streams forward through
+    // memory; the stride premultiply is monotone.
+    debug_assert!(offsets.windows(2).all(|p| p[0] < p[1]));
+    Ok(DimSupport {
+        offsets,
+        weights,
+        variance_factor,
+    })
 }
 
 impl DimSupport {
     /// Number of support entries (= coefficients one dot along this
     /// dimension reads).
     pub fn len(&self) -> usize {
-        self.weights.len()
+        self.offsets.len()
     }
 
     /// Whether the support is empty (never true for a valid interval).
     pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
+        self.offsets.is_empty()
     }
 }
 
@@ -364,7 +403,8 @@ mod tests {
 
     fn support(v: usize) -> SharedSupport {
         Arc::new(DimSupport {
-            weights: vec![(v, 1.0)],
+            offsets: vec![v],
+            weights: vec![1.0],
             variance_factor: 1.0,
         })
     }
@@ -375,7 +415,7 @@ mod tests {
         assert!(cache.get((0, 0, 1)).is_none());
         cache.insert((0, 0, 1), support(1));
         cache.insert((0, 2, 3), support(2));
-        assert_eq!(cache.get((0, 0, 1)).unwrap().weights[0].0, 1);
+        assert_eq!(cache.get((0, 0, 1)).unwrap().offsets[0], 1);
         // Inserting a third entry evicts the least recently used (0,2,3).
         cache.insert((1, 0, 0), support(3));
         assert!(cache.get((0, 2, 3)).is_none());
@@ -395,7 +435,7 @@ mod tests {
         let mut cache = SupportCache::new(2);
         cache.insert((0, 0, 1), support(1));
         cache.insert((0, 0, 1), support(9));
-        assert_eq!(cache.get((0, 0, 1)).unwrap().weights[0].0, 9);
+        assert_eq!(cache.get((0, 0, 1)).unwrap().offsets[0], 9);
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.stats().len, 1);
     }
@@ -440,12 +480,12 @@ mod tests {
             assert_eq!(stats.len, 1);
             assert_eq!(stats.evictions, i as u64);
             assert!(cache.get((0, i - 1, i - 1)).is_none(), "old entry gone");
-            assert_eq!(cache.get((0, i, i)).unwrap().weights[0].0, i);
+            assert_eq!(cache.get((0, i, i)).unwrap().offsets[0], i);
         }
         // Re-inserting the resident key replaces in place, no eviction.
         cache.insert((0, 5, 5), support(99));
         assert_eq!(cache.stats().evictions, 5);
-        assert_eq!(cache.get((0, 5, 5)).unwrap().weights[0].0, 99);
+        assert_eq!(cache.get((0, 5, 5)).unwrap().offsets[0], 99);
     }
 
     #[test]
@@ -527,7 +567,7 @@ mod tests {
         }
         for (i, &key) in keys.iter().enumerate() {
             assert_eq!(
-                cache.get(key).unwrap().weights[0].0,
+                cache.get(key).unwrap().offsets[0],
                 i,
                 "routing must be stable"
             );
@@ -554,7 +594,7 @@ mod tests {
                     Ok::<_, ()>(support(7))
                 })
                 .unwrap();
-            assert_eq!(s.weights[0].0, 7);
+            assert_eq!(s.offsets[0], 7);
         }
         assert_eq!(derivations, 1, "first call derives, the rest hit");
         // A failing derivation propagates, stores nothing, counts a miss.
@@ -596,6 +636,6 @@ mod tests {
         cache.get((0, 0, 1));
         let copy = cache.clone();
         assert_eq!(copy.stats(), cache.stats());
-        assert_eq!(copy.get((0, 0, 1)).unwrap().weights[0].0, 1);
+        assert_eq!(copy.get((0, 0, 1)).unwrap().offsets[0], 1);
     }
 }

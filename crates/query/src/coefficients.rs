@@ -17,17 +17,17 @@
 //! the engine is two `Arc` bumps, so the natural deployment is one clone
 //! per serving thread over one core.
 //!
-//! **Bitwise-equality guarantee.** Every arithmetic path (support
-//! derivation, sparse dot, plan execution) lives in the shared
-//! [`ReleaseCore`] and is pure, so any thread's answer is bit-identical
-//! to the core's uncached oracle on the same path:
-//! [`ReleaseCore::answer_uncached`] and
-//! [`ReleaseCore::answer_with_error_uncached`] for online answers,
-//! [`ReleaseCore::execute_plan`] for a compiled [`QueryPlan`].
-//! `tests/concurrent_serving.rs` asserts this from scoped threads on
-//! random mixed schemas, along with the cache's counter conservation
-//! under contention and compile-time `Send + Sync` for the plan, the core
-//! and the engine.
+//! **Bitwise-equality guarantee.** There is one support derivation and
+//! one sparse tensor-product walk, both pure and shared by the online
+//! path and plan execution, so any thread's answer is bit-identical to
+//! the core's uncached oracle — [`ReleaseCore::answer_uncached`],
+//! [`ReleaseCore::answer_with_error_uncached`],
+//! [`ReleaseCore::execute_plan`] — and an online answer is
+//! bit-identical to the same query's answer in a compiled [`QueryPlan`],
+//! value and std-dev. `tests/concurrent_serving.rs` asserts this from
+//! scoped threads on random mixed schemas, along with the cache's
+//! counter conservation under contention and compile-time
+//! `Send + Sync` for the plan, the core and the engine.
 //!
 //! Compare [`Answerer`](crate::Answerer): O(m) prefix-sum build, O(2^d)
 //! per query. The coefficient path wins when queries arrive online, when
@@ -49,8 +49,8 @@ use privelet_data::schema::Schema;
 use std::sync::Arc;
 
 /// Default bound on the online support cache: each entry holds one
-/// dimension's `O(polylog m)` weight pairs, so the default footprint is
-/// a few hundred kilobytes at most.
+/// dimension's `O(polylog m)` offsets and weights, so the default
+/// footprint is a few hundred kilobytes at most.
 pub const DEFAULT_SUPPORT_CACHE_CAPACITY: usize = 1024;
 
 /// The coefficient-domain answering engine: an `Arc`-shared immutable
@@ -376,14 +376,8 @@ mod tests {
         let queries = medical_queries(&fm);
         let batch = ans.answer_all(&queries).unwrap();
         for (q, got) in queries.iter().zip(&batch) {
-            // Same supports, but the plan's arena kernel may sum them in
-            // a different order than the online dot: 1e-12 relative, not
-            // bitwise (docs/architecture.md summation-order policy).
-            let one = ans.answer(q).unwrap();
-            assert!(
-                (*got - one).abs() <= 1e-12 * one.abs().max(1.0),
-                "plan {got} vs online {one}"
-            );
+            // Same supports, same walk: plan == online bitwise.
+            assert_eq!(got.to_bits(), ans.answer(q).unwrap().to_bits());
         }
         // Compile once, execute twice: identical results.
         let plan = ans.plan(&queries).unwrap();
@@ -405,12 +399,8 @@ mod tests {
             // Online cached dot vs online uncached dot: bitwise.
             let got = engine.answer(q).unwrap();
             assert_eq!(got.to_bits(), core.answer_uncached(q).unwrap().to_bits());
-            // Online dot vs the plan's arena kernel (different summation
-            // order): 1e-12 relative per docs/architecture.md.
-            assert!(
-                (got - want).abs() <= 1e-12 * want.abs().max(1.0),
-                "online {got} vs plan {want}"
-            );
+            // Online dot vs plan execution: one walk, bitwise.
+            assert_eq!(got.to_bits(), want.to_bits());
         }
         assert_eq!(engine.total(), core.total());
         assert_eq!(
@@ -432,15 +422,15 @@ mod tests {
             // Shared core, shared arithmetic: bit-identical annotations.
             assert_eq!(via_engine.value.to_bits(), via_core.value.to_bits());
             assert_eq!(via_engine.std_dev.to_bits(), via_core.std_dev.to_bits());
-            // Plan vs online value: cross-path, 1e-12 relative.
-            assert!(
-                (annotated_plan[i].value - via_engine.value).abs()
-                    <= 1e-12 * via_engine.value.abs().max(1.0),
-                "plan {} vs online {}",
-                annotated_plan[i].value,
-                via_engine.value
+            // Plan vs online: bitwise, value and std-dev.
+            assert_eq!(
+                annotated_plan[i].value.to_bits(),
+                via_engine.value.to_bits()
             );
-            assert!((annotated_plan[i].std_dev - via_engine.std_dev).abs() < 1e-12);
+            assert_eq!(
+                annotated_plan[i].std_dev.to_bits(),
+                via_engine.std_dev.to_bits()
+            );
         }
         // The annotations cost cache lookups only — one per (query, dim),
         // exactly like plain answering.
@@ -502,15 +492,9 @@ mod tests {
         let annotated_batch = ans.answer_plan_with_error(&plan).unwrap();
         for (q, a) in queries.iter().zip(&annotated_batch) {
             let online = ans.answer_with_error(q).unwrap();
-            // Cross-path (plan vs online): 1e-12 relative per the
-            // summation-order policy.
-            assert!(
-                (a.value - online.value).abs() <= 1e-12 * online.value.abs().max(1.0),
-                "plan {} vs online {}",
-                a.value,
-                online.value
-            );
-            assert!((a.std_dev - online.std_dev).abs() < 1e-12);
+            // Plan vs online: bitwise, value and std-dev.
+            assert_eq!(a.value.to_bits(), online.value.to_bits());
+            assert_eq!(a.std_dev.to_bits(), online.std_dev.to_bits());
         }
     }
 

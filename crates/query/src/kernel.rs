@@ -1,38 +1,48 @@
-//! The innermost sparse-dot kernel shared by every answering path.
+//! The one sparse-dot arithmetic every answering path runs.
 //!
-//! Both the compiled-plan arena walk ([`QueryPlan`]) and the online
-//! per-query path ([`ReleaseCore::dot`]) bottom out in the same loop: a
-//! gather-multiply-accumulate over one dimension's sparse support
-//! against the flat coefficient slice. Naively that loop is a single
-//! dependency chain of floating-point adds — each `acc += w·c[k]` waits
-//! ~4 cycles on the previous one, which dominates a support of ≲40
-//! entries whose gather loads mostly hit cache. [`gather_dot4`] breaks
-//! the chain with four independent accumulators over 4-wide chunks and
-//! a deterministic final reduction `((a0+a1)+(a2+a3)) + tail`.
+//! A range-count answer is the sparse tensor-product dot
+//! `Σ ∏ᵢ wᵢ[kᵢ] · C[k₁,…,k_d]` over each dimension's support. Both the
+//! online per-query path ([`ReleaseCore::dot`]) and compiled-plan
+//! execution ([`QueryPlan`]) compute it with [`tensor_dot`]: the same
+//! walk over the same layout — parallel slices of stride-premultiplied
+//! offsets and their weights (a [`DimSupport`]'s `offsets`/`weights`, or
+//! a plan arena span holding a copy of them) — bottoming out in the same
+//! [`gather_dot4`]. The two paths differ only in where a depth's support
+//! slices live, so their answers are bitwise equal.
 //!
-//! Determinism contract: the kernel is a pure function of its inputs —
-//! every call site sums a given support in the *same* fixed order, so
-//! serial/parallel and cached/uncached comparisons **within one path**
-//! stay bitwise. What changed relative to the pre-kernel code is the
-//! summation order itself (4 interleaved partial sums instead of one
-//! left fold, and the caller's `scale` applied once outside the loop
-//! instead of per element), so comparisons **across** paths that
-//! historically matched bit-for-bit by accident are specified to
-//! `1e-12` relative instead — see "Worker pool and arena layout" in
-//! `docs/architecture.md`.
+//! The innermost loop is a gather-multiply-accumulate over one
+//! dimension's support against the flat coefficient slice. Naively that
+//! loop is a single dependency chain of floating-point adds — each
+//! `acc += w·c[k]` waits ~4 cycles on the previous one, which dominates
+//! a support of ≲40 entries whose gather loads mostly hit cache.
+//! [`gather_dot4`] breaks the chain with four independent accumulators
+//! over 4-wide chunks and a deterministic final reduction
+//! `((a0+a1)+(a2+a3)) + tail`.
 //!
-//! [`QueryPlan`]: crate::QueryPlan
+//! Determinism contract: the walk and the kernel are pure functions of
+//! their inputs with a fixed summation order, so serial/parallel,
+//! cached/uncached and plan/online answers are all bitwise equal.
+//!
 //! [`ReleaseCore::dot`]: crate::ReleaseCore::dot
+//! [`QueryPlan`]: crate::QueryPlan
+//! [`DimSupport`]: crate::DimSupport
 
 /// `Σ_j w[j] · data[base + idx[j]]` with four independent accumulators.
 ///
-/// `idx` entries are already stride-premultiplied linear offsets; the
-/// caller guarantees `base + idx[j]` is in bounds (plan compilation and
-/// support derivation both validate against the coefficient shape, so
-/// the slice indexing below never faults — and stays checked anyway).
-/// The reduction order is fixed: `((a0+a1)+(a2+a3)) + tail`, identical
-/// for every call with the same inputs.
-#[inline]
+/// `idx` holds stride-premultiplied linear offsets and `w` their
+/// weights, as parallel slices (one `(offset, weight)` pair slice
+/// measured ~10% slower on `plan_throughput`; see the summation-order
+/// policy in `docs/architecture.md`). The caller guarantees
+/// `base + idx[j]` is in bounds (support derivation validates against
+/// the coefficient shape, so the slice indexing below never faults —
+/// and stays checked anyway). The reduction order is fixed:
+/// `((a0+a1)+(a2+a3)) + tail`, identical for every call with the same
+/// inputs.
+///
+/// Always inlined: with two walk instantiations calling it, LLVM
+/// otherwise keeps it out of line, and the call costs a measurable share
+/// of a ~25 ns single-dimension plan query.
+#[inline(always)]
 pub(crate) fn gather_dot4(data: &[f64], base: usize, idx: &[usize], w: &[f64]) -> f64 {
     debug_assert_eq!(idx.len(), w.len());
     let n4 = idx.len() & !3;
@@ -50,31 +60,39 @@ pub(crate) fn gather_dot4(data: &[f64], base: usize, idx: &[usize], w: &[f64]) -
     ((a0 + a1) + (a2 + a3)) + tail
 }
 
-/// [`gather_dot4`] over an unsplit `(index, weight)` pair slice — the
-/// layout the online path's derived supports use. Same accumulator
-/// structure and reduction order, with the per-dimension `stride`
-/// applied to each index during the walk (the online path does not
-/// premultiply).
+/// The sparse tensor-product dot of `ndim` per-dimension supports
+/// against the flat coefficient data. `support(d)` returns dimension
+/// `d`'s stride-premultiplied offsets and their weights.
+///
+/// Depth-first over dimensions, accumulating the linear offset and the
+/// weight product; the innermost dimension runs through [`gather_dot4`]
+/// with the accumulated weight applied once to its sum. `ndim` must be
+/// at least 1 (every schema has an attribute).
 #[inline]
-pub(crate) fn gather_dot4_pairs(
+pub(crate) fn tensor_dot<'s>(
     data: &[f64],
-    base: usize,
-    stride: usize,
-    pairs: &[(usize, f64)],
+    ndim: usize,
+    support: &impl Fn(usize) -> (&'s [usize], &'s [f64]),
 ) -> f64 {
-    let n4 = pairs.len() & !3;
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for p in pairs[..n4].chunks_exact(4) {
-        a0 += p[0].1 * data[base + p[0].0 * stride];
-        a1 += p[1].1 * data[base + p[1].0 * stride];
-        a2 += p[2].1 * data[base + p[2].0 * stride];
-        a3 += p[3].1 * data[base + p[3].0 * stride];
+    walk(data, ndim, support, 0, 0, 1.0)
+}
+
+fn walk<'s>(
+    data: &[f64],
+    ndim: usize,
+    support: &impl Fn(usize) -> (&'s [usize], &'s [f64]),
+    depth: usize,
+    base: usize,
+    weight: f64,
+) -> f64 {
+    let (k, w) = support(depth);
+    if depth + 1 == ndim {
+        return weight * gather_dot4(data, base, k, w);
     }
-    let mut tail = 0.0f64;
-    for &(k, wk) in &pairs[n4..] {
-        tail += wk * data[base + k * stride];
-    }
-    ((a0 + a1) + (a2 + a3)) + tail
+    k.iter()
+        .zip(w)
+        .map(|(&kj, &wj)| walk(data, ndim, support, depth + 1, base + kj, weight * wj))
+        .sum()
 }
 
 #[cfg(test)]
@@ -106,24 +124,6 @@ mod tests {
             let w: Vec<f64> = (0..len).map(|j| 0.5 + j as f64).collect();
             let got = gather_dot4(&data, 3, &idx, &w);
             assert_eq!(got.to_bits(), reference(&data, 3, &idx, &w).to_bits());
-            // The pair variant with stride 1 performs the identical ops.
-            let pairs: Vec<(usize, f64)> = idx.iter().copied().zip(w.iter().copied()).collect();
-            assert_eq!(
-                got.to_bits(),
-                gather_dot4_pairs(&data, 3, 1, &pairs).to_bits()
-            );
         }
-    }
-
-    #[test]
-    fn strided_pairs_match_premultiplied_indices() {
-        let data: Vec<f64> = (0..120).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let pairs: Vec<(usize, f64)> = (0..7).map(|j| (j * 2, 1.0 + j as f64)).collect();
-        let idx: Vec<usize> = pairs.iter().map(|&(k, _)| k * 8).collect();
-        let w: Vec<f64> = pairs.iter().map(|&(_, wk)| wk).collect();
-        assert_eq!(
-            gather_dot4_pairs(&data, 5, 8, &pairs).to_bits(),
-            gather_dot4(&data, 5, &idx, &w).to_bits()
-        );
     }
 }

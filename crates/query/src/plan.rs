@@ -7,12 +7,15 @@
 //! interns at two levels: repeated **whole queries** (a dashboard
 //! refreshed every tick) collapse onto one term list and one sparse dot
 //! per execution, and across distinct queries each distinct
-//! `(dim, lo, hi)` support is derived exactly once into a shared pool
-//! (via [`HnTransform::query_weights_for_dim`]), its coefficient
-//! indices pre-multiplied by the axis stride. Executing the plan is
-//! then a pure sparse tensor-product dot per distinct query over one
-//! contiguous arena — no per-query allocation, hashing, or bounds
-//! re-validation.
+//! `(dim, lo, hi)` support is derived exactly once into a shared pool —
+//! by the same derivation the online path caches, so the pool holds the
+//! same stride-premultiplied offsets and weights as a
+//! [`DimSupport`](crate::DimSupport), concatenated into one contiguous
+//! arena of two parallel arrays. Executing the plan runs the online
+//! path's sparse tensor-product walk once per distinct query, reading
+//! each depth's support from its arena span — no per-query allocation,
+//! hashing, or bounds re-validation, and answers bitwise equal to
+//! [`ReleaseCore::dot`](crate::ReleaseCore::dot) on the same supports.
 //!
 //! The plan is also the dedup ledger: [`support_requests`] counts the
 //! `(query, dim)` pairs the batch asked for, [`distinct_supports`] the
@@ -26,9 +29,10 @@
 //! [`dedup_ratio`]: QueryPlan::dedup_ratio
 
 use crate::annotated::AnnotatedAnswer;
+use crate::cache;
 use crate::range_query::RangeQuery;
 use crate::{QueryError, Result};
-use privelet::transform::{DimTransform, HnTransform, Transform1d};
+use privelet::transform::{DimTransform, HnTransform};
 use privelet::PrivacyMeta;
 use privelet_data::schema::{Domain, Schema};
 use privelet_matrix::{NdMatrix, Shape};
@@ -70,11 +74,16 @@ pub(crate) fn check_release_metadata(schema: &Schema, transform: &HnTransform) -
 pub struct QueryPlan {
     /// Coefficient dims the plan was compiled for (execution validates).
     coeff_dims: Vec<usize>,
-    /// Arena of pooled supports: coefficient indices, pre-multiplied by
-    /// the axis stride so execution is a pure add.
-    arena_idx: Vec<usize>,
-    /// Arena of pooled supports: the matching weights.
-    arena_w: Vec<f64>,
+    /// Arena of pooled supports: every support's stride-premultiplied
+    /// offsets, concatenated exactly as derived ([`DimSupport::offsets`]).
+    ///
+    /// [`DimSupport::offsets`]: crate::DimSupport::offsets
+    offsets: Vec<usize>,
+    /// The matching weights ([`DimSupport::weights`]), parallel to
+    /// `offsets`.
+    ///
+    /// [`DimSupport::weights`]: crate::DimSupport::weights
+    weights: Vec<f64>,
     /// Per pool entry: `(start, len)` of its slice of the arena.
     spans: Vec<(usize, usize)>,
     /// Per pool entry: the per-dimension variance factor
@@ -109,9 +118,11 @@ pub struct QueryPlan {
 
 impl QueryPlan {
     /// Compiles a batch: validates every query against `schema`, derives
-    /// each distinct `(dim, lo, hi)` support exactly once via
-    /// [`HnTransform::query_weights_for_dim`], and flattens the batch
-    /// into pool references.
+    /// each distinct `(dim, lo, hi)` support exactly once (the
+    /// derivation behind [`ReleaseCore::derive_support`]), and flattens
+    /// the batch into pool references.
+    ///
+    /// [`ReleaseCore::derive_support`]: crate::ReleaseCore::derive_support
     ///
     /// Errors if `transform` does not fit `schema`
     /// ([`QueryError::ShapeMismatch`], including a nominal transform
@@ -133,8 +144,8 @@ impl QueryPlan {
 
         let mut pool: HashMap<(usize, usize, usize), u32> = HashMap::new();
         let mut query_pool: HashMap<&RangeQuery, u32> = HashMap::new();
-        let mut arena_idx = Vec::new();
-        let mut arena_w = Vec::new();
+        let mut offsets = Vec::new();
+        let mut weights = Vec::new();
         let mut spans: Vec<(usize, usize)> = Vec::new();
         let mut span_factors: Vec<f64> = Vec::new();
         let mut terms = Vec::new();
@@ -161,41 +172,12 @@ impl QueryPlan {
                 let id = match pool.get(&key) {
                     Some(&id) => id,
                     None => {
-                        let support = transform
-                            .query_weights_for_dim(dim, lo[dim], hi[dim])
-                            .map_err(QueryError::from)?;
-                        // The variance factor rides on the one derivation
-                        // (folded before the stride premultiply, which
-                        // only reshapes indices).
-                        span_factors
-                            .push(transform.transforms()[dim].support_variance_factor(&support));
-                        let start = arena_idx.len();
-                        for (k, w) in support {
-                            arena_idx.push(k * strides[dim]);
-                            arena_w.push(w);
-                        }
-                        // Arena invariant: every span is ascending in
-                        // coefficient index, so the dot kernel streams
-                        // forward through memory. `query_weights` already
-                        // emits ascending indices for all three transforms
-                        // (pinned by `query_weights_boundaries`) and the
-                        // stride premultiply is monotone, so the sort
-                        // below is a no-op today — it is insurance for
-                        // future transforms, not a reorder of anything.
-                        if !arena_idx[start..].windows(2).all(|p| p[0] <= p[1]) {
-                            let mut pairs: Vec<(usize, f64)> = arena_idx[start..]
-                                .iter()
-                                .copied()
-                                .zip(arena_w[start..].iter().copied())
-                                .collect();
-                            pairs.sort_by_key(|&(k, _)| k);
-                            for (i, (k, w)) in pairs.into_iter().enumerate() {
-                                arena_idx[start + i] = k;
-                                arena_w[start + i] = w;
-                            }
-                        }
+                        let support = cache::derive(transform, &strides, dim, lo[dim], hi[dim])?;
                         let id = spans.len() as u32;
-                        spans.push((start, arena_idx.len() - start));
+                        spans.push((offsets.len(), support.len()));
+                        span_factors.push(support.variance_factor);
+                        offsets.extend_from_slice(&support.offsets);
+                        weights.extend_from_slice(&support.weights);
                         pool.insert(key, id);
                         id
                     }
@@ -214,12 +196,11 @@ impl QueryPlan {
 
         // Locality schedule: run distinct queries in order of their
         // leading span's arena position, tie-broken by id for
-        // determinism. The arena (idx + weights) is the largest
-        // structure an execution streams, so the schedule must keep its
-        // walk forward-sequential — span-start order does, and it
-        // additionally groups queries that share a leading support so
-        // their deep coefficient lines are still hot when the next dot
-        // gathers them. (Sorting by *coefficient* address instead was
+        // determinism. The arena is the largest structure an execution
+        // streams, so the schedule must keep its walk forward-sequential
+        // — span-start order does, and it additionally groups queries
+        // that share a leading support so their deep coefficient lines
+        // are still hot when the next dot gathers them. (Sorting by *coefficient* address instead was
         // measured to lose ~20%: it randomizes the arena walk, which
         // costs more than the gather locality it buys.) Answers land in
         // a by-id scratch vector, so this permutes only the memory
@@ -229,8 +210,8 @@ impl QueryPlan {
 
         Ok(QueryPlan {
             coeff_dims,
-            arena_idx,
-            arena_w,
+            offsets,
+            weights,
             spans,
             span_factors,
             terms,
@@ -244,23 +225,11 @@ impl QueryPlan {
     }
 
     /// Executes the plan against a (refined) coefficient matrix,
-    /// returning one answer per compiled query. The only allocation is
-    /// the returned vector; see
-    /// [`execute_into`](Self::execute_into) for the allocation-free
-    /// variant.
+    /// returning one answer per compiled query. Each **distinct**
+    /// query's sparse dot runs once; repeated queries fan the memoized
+    /// answer out in input order. Allocates the returned vector and one
+    /// `O(distinct queries)` scratch vector.
     pub fn execute(&self, coeffs: &NdMatrix) -> Result<Vec<f64>> {
-        let mut out = Vec::with_capacity(self.query_ids.len());
-        self.execute_into(coeffs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`execute`](Self::execute) appending into a caller-owned buffer,
-    /// so a serving loop reusing one buffer performs zero allocations
-    /// per query (one `O(distinct queries)` scratch vector per batch).
-    ///
-    /// Each **distinct** query's sparse dot runs once; repeated queries
-    /// fan the memoized answer out in input order.
-    pub fn execute_into(&self, coeffs: &NdMatrix, out: &mut Vec<f64>) -> Result<()> {
         if coeffs.dims() != self.coeff_dims {
             return Err(QueryError::ShapeMismatch);
         }
@@ -272,11 +241,17 @@ impl QueryPlan {
         for &qid in &self.exec_order {
             let q = qid as usize;
             let term = &self.terms[q * self.ndim..(q + 1) * self.ndim];
-            distinct[q] = self.dot(data, term, 0, 0, 1.0);
+            distinct[q] = crate::kernel::tensor_dot(data, self.ndim, &|d| {
+                let (start, len) = self.spans[term[d] as usize];
+                let span = start..start + len;
+                (&self.offsets[span.clone()], &self.weights[span])
+            });
         }
-        out.reserve(self.query_ids.len());
-        out.extend(self.query_ids.iter().map(|&qid| distinct[qid as usize]));
-        Ok(())
+        Ok(self
+            .query_ids
+            .iter()
+            .map(|&qid| distinct[qid as usize])
+            .collect())
     }
 
     /// [`execute`](Self::execute) with error accounting: one
@@ -291,8 +266,7 @@ impl QueryPlan {
         coeffs: &NdMatrix,
         meta: &PrivacyMeta,
     ) -> Result<Vec<AnnotatedAnswer>> {
-        let mut values = Vec::with_capacity(self.query_ids.len());
-        self.execute_into(coeffs, &mut values)?;
+        let values = self.execute(coeffs)?;
         let distinct_stds: Vec<f64> = self
             .distinct_factors
             .iter()
@@ -306,33 +280,6 @@ impl QueryPlan {
                 std_dev: distinct_stds[qid as usize],
             })
             .collect())
-    }
-
-    /// The product of per-dimension variance factors of input query `i`
-    /// (`Var = 2λ²·` this), read from the compile-time interned factors.
-    /// Panics if `i >= len()`.
-    pub fn variance_factor(&self, i: usize) -> f64 {
-        self.distinct_factors[self.query_ids[i] as usize]
-    }
-
-    /// One query's sparse tensor-product dot: depth-first over its pool
-    /// spans, accumulating the (pre-multiplied) linear index and the
-    /// weight product. The innermost dimension runs through the shared
-    /// 4-accumulator kernel with the outer weight applied once to its
-    /// sum — the same op order as the online path's innermost level, and
-    /// a fixed order for any given plan, so repeated executions (and the
-    /// annotated variant) stay bitwise-identical to each other.
-    fn dot(&self, data: &[f64], term: &[u32], depth: usize, base: usize, weight: f64) -> f64 {
-        let (start, len) = self.spans[term[depth] as usize];
-        let idx = &self.arena_idx[start..start + len];
-        let w = &self.arena_w[start..start + len];
-        if depth + 1 == term.len() {
-            return weight * crate::kernel::gather_dot4(data, base, idx, w);
-        }
-        idx.iter()
-            .zip(w)
-            .map(|(&k, &wk)| self.dot(data, term, depth + 1, base + k, weight * wk))
-            .sum()
     }
 
     /// Number of compiled queries.
@@ -396,12 +343,6 @@ impl QueryPlan {
             self.support_sum as f64 / self.query_ids.len() as f64
         }
     }
-
-    /// Total `(index, weight)` pairs held in the arena — the plan's
-    /// resident footprint, for capacity planning.
-    pub fn arena_len(&self) -> usize {
-        self.arena_idx.len()
-    }
 }
 
 #[cfg(test)]
@@ -444,7 +385,6 @@ mod tests {
         // over all of them.
         assert!(plan.total_reads() >= plan.distinct_queries());
         assert!(plan.mean_support() >= 1.0);
-        assert!(plan.arena_len() >= plan.distinct_supports());
     }
 
     #[test]
@@ -468,11 +408,6 @@ mod tests {
             let want = exact(&fm, q);
             assert!((a - want).abs() < 1e-9, "{a} vs {want}");
         }
-        // execute_into appends without clearing.
-        let mut out = vec![f64::NAN];
-        plan.execute_into(&coeffs, &mut out).unwrap();
-        assert_eq!(out.len(), 1 + queries.len());
-        assert_eq!(&out[1..], got.as_slice());
     }
 
     #[test]
@@ -493,16 +428,14 @@ mod tests {
             // Identical dots: the annotation never perturbs the value.
             assert_eq!(a.value, v);
             assert!(a.std_dev > 0.0);
-            // The interned factors reproduce the variance module exactly.
+            // The interned factors reproduce the variance module.
             let (lo, hi) = queries[i].bounds(fm.schema()).unwrap();
             let want = exact_query_variance(&hn, meta.lambda, &lo, &hi).unwrap();
             assert!(
-                (a.variance() - want).abs() <= 1e-9 * want,
-                "query {i}: {} vs {want}",
-                a.variance()
-            );
-            assert!(
-                (plan.variance_factor(i) - want / (2.0 * meta.lambda * meta.lambda)).abs() < 1e-9
+                (a.std_dev - want.sqrt()).abs() <= 1e-9 * want.sqrt(),
+                "query {i}: std-dev {} vs {}",
+                a.std_dev,
+                want.sqrt()
             );
         }
         // Repeated whole queries share one interned std-dev.
@@ -570,17 +503,12 @@ mod tests {
         assert_eq!(plan.distinct_supports(), 0);
         assert_eq!(plan.distinct_queries(), 0);
         assert_eq!(plan.total_reads(), 0);
-        assert_eq!(plan.arena_len(), 0);
         // The two ratio diagnostics are the division hazards.
         assert_eq!(plan.dedup_ratio(), 0.0);
         assert!(plan.dedup_ratio().is_finite());
         assert_eq!(plan.mean_support(), 0.0);
         assert!(plan.mean_support().is_finite());
-        // execute_into on an empty plan appends nothing and still
-        // validates the coefficient shape.
-        let mut out = vec![1.5];
-        plan.execute_into(&coeffs, &mut out).unwrap();
-        assert_eq!(out, vec![1.5]);
+        // An empty plan still validates the coefficient shape.
         let wrong = NdMatrix::zeros(&[2, 2]).unwrap();
         assert_eq!(plan.execute(&wrong).unwrap_err(), QueryError::ShapeMismatch);
     }

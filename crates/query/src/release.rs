@@ -13,22 +13,20 @@
 //! bit-identical to this core's uncached paths
 //! ([`answer_uncached`](ReleaseCore::answer_uncached),
 //! [`answer_with_error_uncached`](ReleaseCore::answer_with_error_uncached),
-//! [`execute_plan`](ReleaseCore::execute_plan)) *within each path*,
-//! because every arithmetic path — support derivation, sparse dot, plan
-//! execution — lives here and is pure. Across paths (the online dot vs a
-//! compiled plan's arena kernel) answers agree to 1e-12 relative, not
-//! bitwise: the kernels may sum a support's terms in different orders
-//! (see the summation-order policy in `docs/architecture.md`).
+//! [`execute_plan`](ReleaseCore::execute_plan)), and online answers are
+//! bit-identical to plan answers: support derivation (`cache::derive`)
+//! and the sparse tensor-product dot (`kernel::tensor_dot`) each exist
+//! once, are pure, and are shared by every path.
 //!
 //! [`ConcurrentEngine`]: crate::ConcurrentEngine
 
 use crate::annotated::AnnotatedAnswer;
-use crate::cache::{DimSupport, SharedSupport};
+use crate::cache::{self, SharedSupport};
 use crate::plan::QueryPlan;
 use crate::range_query::RangeQuery;
 use crate::{QueryError, Result};
 use privelet::mechanism::CoefficientOutput;
-use privelet::transform::{HnTransform, Transform1d};
+use privelet::transform::HnTransform;
 use privelet::PrivacyMeta;
 use privelet_data::schema::Schema;
 use privelet_matrix::NdMatrix;
@@ -46,7 +44,7 @@ pub struct ReleaseCore {
     /// Refined coefficients (mean subtraction already applied on nominal
     /// axes), so every answer is a pure dot product.
     coeffs: NdMatrix,
-    /// Row-major strides of `coeffs`, cached for the per-query walk.
+    /// Row-major strides of `coeffs`, cached for support derivation.
     strides: Vec<usize>,
     /// The (noisy) total count — the unconstrained query's answer,
     /// computed once at construction.
@@ -181,23 +179,15 @@ impl ReleaseCore {
     }
 
     /// Derives one dimension's sparse support, uncached: the
-    /// `(coefficient index, weight)` pairs of the interval-sum functional
-    /// over `[lo, hi]` on dimension `dim`, plus the per-dimension
-    /// variance factor (an O(|support|) fold piggybacking on the
-    /// derivation — no second derivation, so cached supports carry their
-    /// error accounting for free). This is the derivation every cache
-    /// memoizes; it is pure, so two threads deriving the same triple
-    /// produce identical supports.
+    /// stride-premultiplied offsets and weights of the interval-sum
+    /// functional over `[lo, hi]` on dimension `dim`, plus the
+    /// per-dimension variance factor (an O(|support|) fold piggybacking
+    /// on the derivation — no second derivation, so cached supports carry
+    /// their error accounting for free). This is the derivation every
+    /// cache memoizes and every plan interns; it is pure, so two threads
+    /// deriving the same triple produce identical supports.
     pub fn derive_support(&self, dim: usize, lo: usize, hi: usize) -> Result<SharedSupport> {
-        let weights = self
-            .transform
-            .query_weights_for_dim(dim, lo, hi)
-            .map_err(QueryError::from)?;
-        let variance_factor = self.transform.transforms()[dim].support_variance_factor(&weights);
-        Ok(Arc::new(DimSupport {
-            weights,
-            variance_factor,
-        }))
+        cache::derive(&self.transform, &self.strides, dim, lo, hi).map(Arc::new)
     }
 
     /// Resolves a query to its per-dimension bounds and derives every
@@ -228,8 +218,11 @@ impl ReleaseCore {
     /// The sparse tensor-product dot of already-derived per-dimension
     /// supports against the refined coefficients:
     /// `Σ ∏ᵢ wᵢ[kᵢ] · C[k₁,…,k_d]`, reading `∏ᵢ |supportᵢ|` coefficients.
+    /// The same walk plan execution runs (`kernel::tensor_dot`).
     pub fn dot(&self, supports: &[SharedSupport]) -> f64 {
-        sparse_dot(self.coeffs.as_slice(), &self.strides, supports, 0, 0, 1.0)
+        crate::kernel::tensor_dot(self.coeffs.as_slice(), supports.len(), &|d| {
+            (&supports[d].offsets[..], &supports[d].weights[..])
+        })
     }
 
     /// Annotates an already-computed answer with its exact noise std-dev,
@@ -279,42 +272,6 @@ impl ReleaseCore {
     }
 }
 
-/// Folds the tensor product of the per-dimension sparse supports against
-/// the flat coefficient data: depth-first over dimensions, accumulating
-/// the linear index and the weight product. The innermost dimension runs
-/// through the shared 4-accumulator kernel (`crate::kernel`) with the
-/// accumulated weight applied once to its sum — the same op structure as
-/// the compiled-plan dot, so the summation order is fixed per path and
-/// cached/uncached online answers stay bitwise-identical.
-fn sparse_dot(
-    data: &[f64],
-    strides: &[usize],
-    supports: &[SharedSupport],
-    dim: usize,
-    base: usize,
-    weight: f64,
-) -> f64 {
-    if dim + 1 == supports.len() {
-        // Innermost dimension: contiguous-ish reads, no recursion.
-        return weight
-            * crate::kernel::gather_dot4_pairs(data, base, strides[dim], &supports[dim].weights);
-    }
-    supports[dim]
-        .weights
-        .iter()
-        .map(|&(k, w)| {
-            sparse_dot(
-                data,
-                strides,
-                supports,
-                dim + 1,
-                base + k * strides[dim],
-                weight * w,
-            )
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,12 +298,10 @@ mod tests {
         let queries = vec![RangeQuery::all(2)];
         let plan = core.plan(&queries).unwrap();
         let batch = core.execute_plan(&plan).unwrap();
-        // Plan (arena kernel) vs uncached online dot: cross-path, so
-        // 1e-12 relative — the summation-order policy.
+        // Plan and uncached online dot run the same walk: bitwise.
         let online = core.answer_uncached(&queries[0]).unwrap();
-        let tol = 1e-12 * online.abs().max(1.0);
-        assert!((batch[0] - online).abs() <= tol, "{} vs {online}", batch[0]);
-        assert!((batch[0] - core.total()).abs() <= tol);
+        assert_eq!(batch[0].to_bits(), online.to_bits());
+        assert_eq!(batch[0].to_bits(), core.total().to_bits());
     }
 
     #[test]
@@ -394,15 +349,10 @@ mod tests {
         )
         .unwrap();
         assert!((annotated.variance() - want).abs() <= 1e-9 * want);
-        // Plan-path annotation agrees with the uncached path (cross-path
-        // value: 1e-12 relative).
+        // Plan-path annotation equals the uncached path bitwise: same
+        // derivation, same walk, same variance factors.
         let batch = core.execute_plan_with_error(&plan).unwrap();
-        assert!(
-            (batch[0].value - annotated.value).abs() <= 1e-12 * annotated.value.abs().max(1.0),
-            "plan {} vs online {}",
-            batch[0].value,
-            annotated.value
-        );
-        assert!((batch[0].std_dev - annotated.std_dev).abs() < 1e-12);
+        assert_eq!(batch[0].value.to_bits(), annotated.value.to_bits());
+        assert_eq!(batch[0].std_dev.to_bits(), annotated.std_dev.to_bits());
     }
 }

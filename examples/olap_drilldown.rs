@@ -128,18 +128,18 @@ fn main() {
     );
 
     // Dashboard refreshes, one query at a time (the online path; the
-    // batch plan keeps its supports in its own arena). The first refresh
-    // fills the LRU support cache; from the second refresh on, every
-    // per-dimension support is served from memory.
+    // batch plan keeps its copy of the supports in its own arena). The
+    // first refresh fills the LRU support cache; from the second
+    // refresh on, every per-dimension support is served from memory.
     let refreshed: Vec<f64> = dashboard
         .iter()
         .map(|q| engine.answer(q).unwrap())
         .collect();
-    // Online vs the plan's arena kernel: 1e-12 relative, not bitwise
-    // (docs/architecture.md summation-order policy).
+    // Online vs plan: one derivation, one walk — bit for bit.
     for (r, n) in refreshed.iter().zip(&noisy) {
-        assert!(
-            (r - n).abs() <= 1e-12 * n.abs().max(1.0),
+        assert_eq!(
+            r.to_bits(),
+            n.to_bits(),
             "refresh must reproduce the batch: {r} vs {n}"
         );
     }

@@ -153,12 +153,11 @@ fn main() {
         100.0 * plan.dedup_ratio()
     );
     for (q, a) in workload.iter().zip(&batch) {
-        // Plan vs online: 1e-12 relative, not bitwise — the plan's arena
-        // kernel may sum supports in a different order than the online
-        // dot (docs/architecture.md summation-order policy).
+        // Plan vs online: one derivation, one walk — bit for bit.
         let online = engine.answer(q).unwrap();
-        assert!(
-            (online - a).abs() <= 1e-12 * online.abs().max(1.0),
+        assert_eq!(
+            online.to_bits(),
+            a.to_bits(),
             "batch must equal the per-query loop: {a} vs {online}"
         );
     }

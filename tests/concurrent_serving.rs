@@ -155,12 +155,13 @@ fn contended_sharded_cache_conserves_counters_and_derives_once() {
                             .get_or_derive(keys[k], || {
                                 derivations[k].fetch_add(1, Ordering::SeqCst);
                                 Ok::<_, ()>(Arc::new(DimSupport {
-                                    weights: vec![(k, 1.0)],
+                                    offsets: vec![k],
+                                    weights: vec![1.0],
                                     variance_factor: 1.0,
                                 }))
                             })
                             .unwrap();
-                        assert_eq!(support.weights[0].0, k, "supports must never cross keys");
+                        assert_eq!(support.offsets[0], k, "supports must never cross keys");
                     }
                 }
             });
@@ -216,12 +217,13 @@ fn contended_sharded_cache_conserves_counters_under_eviction_pressure() {
                             .get_or_derive(keys[k], || {
                                 derivations[k].fetch_add(1, Ordering::SeqCst);
                                 Ok::<_, ()>(Arc::new(DimSupport {
-                                    weights: vec![(k, 1.0)],
+                                    offsets: vec![k],
+                                    weights: vec![1.0],
                                     variance_factor: 1.0,
                                 }))
                             })
                             .unwrap();
-                        assert_eq!(support.weights[0].0, k);
+                        assert_eq!(support.offsets[0], k);
                     }
                 }
             });

@@ -145,11 +145,11 @@ fn error_annotation_adds_zero_support_derivations() {
     // derivations, and bit-identical values.
     let plain: Vec<f64> = queries.iter().map(|q| coeff.answer(q).unwrap()).collect();
     assert_eq!(first, plain);
-    let second: Vec<f64> = queries
+    let second: Vec<_> = queries
         .iter()
-        .map(|q| coeff.answer_with_error(q).unwrap().value)
+        .map(|q| coeff.answer_with_error(q).unwrap())
         .collect();
-    assert_eq!(first, second);
+    assert_eq!(first, second.iter().map(|a| a.value).collect::<Vec<_>>());
     let warm = coeff.cache_stats();
     assert_eq!(
         warm.misses, after_first.misses,
@@ -172,15 +172,11 @@ fn error_annotation_adds_zero_support_derivations() {
         before_plan,
         "plan execution is cache-free"
     );
-    for (a, &v) in annotated.iter().zip(&plain) {
-        // Plan (arena kernel) vs online dot: summation order may differ,
-        // so cross-path agreement is 1e-12 relative, not bitwise (see
-        // docs/architecture.md).
-        assert!(
-            (a.value - v).abs() <= 1e-12 * v.abs().max(1.0),
-            "plan {} vs online {v}",
-            a.value
-        );
+    for (a, online) in annotated.iter().zip(&second) {
+        // Plan vs online: one derivation, one walk — bitwise, value and
+        // std-dev.
+        assert_eq!(a.value.to_bits(), online.value.to_bits());
+        assert_eq!(a.std_dev.to_bits(), online.std_dev.to_bits());
         assert!(a.std_dev > 0.0);
     }
 

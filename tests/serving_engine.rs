@@ -58,9 +58,10 @@ proptest! {
 
     /// Noisy releases: `answer_all` (the plan path) equals executing the
     /// core's own compilation of the workload bit for bit, and the
-    /// per-query loop to cross-path rounding. Noisy cell values reach
-    /// O(λ·m) in magnitude, so the cross-path tolerance scales with the
-    /// summed coefficient mass.
+    /// per-query online loop bit for bit too — value and std-dev — since
+    /// both paths run one derivation and one walk. Against the prefix
+    /// path, noisy cell values reach O(λ·m) in magnitude, so that
+    /// tolerance scales with the summed coefficient mass.
     #[test]
     fn batch_plan_matches_per_query_on_noisy_releases(
         (schema, sa) in schema_strategy(),
@@ -78,16 +79,14 @@ proptest! {
         let core = coeff.core();
         let via_core = core.execute_plan(&core.plan(&queries).unwrap()).unwrap();
         prop_assert_eq!(&batch, &via_core);
-        for (q, &got) in queries.iter().zip(&batch) {
-            // Same supports, but the plan's arena kernel may sum a
-            // support in a different order than the online dot, so
-            // cross-path agreement is 1e-12 relative (the summation-order
-            // policy in docs/architecture.md), not bitwise.
+        let annotated = coeff.answer_plan_with_error(&coeff.plan(&queries).unwrap()).unwrap();
+        for ((q, &got), planned) in queries.iter().zip(&batch).zip(&annotated) {
+            // One derivation, one walk: plan == online bitwise.
             let one = coeff.answer(q).unwrap();
-            prop_assert!(
-                (one - got).abs() <= 1e-12 * one.abs().max(1.0),
-                "plan {got} vs online {one}"
-            );
+            prop_assert_eq!(got.to_bits(), one.to_bits(), "plan {} vs online {}", got, one);
+            let online = coeff.answer_with_error(q).unwrap();
+            prop_assert_eq!(planned.value.to_bits(), online.value.to_bits());
+            prop_assert_eq!(planned.std_dev.to_bits(), online.std_dev.to_bits());
         }
 
         let rec = release.to_matrix().unwrap();
