@@ -361,7 +361,7 @@ fn ld002_at(m: &FileModel, i: usize) -> bool {
 /// feeds a `for` loop containing `+=` or an iterator chain ending in
 /// `.sum()`/`.product()`/`.fold()`. Such sums are
 /// nondeterministically ordered, which silently breaks the bitwise
-/// determinism contracts (pooled vs serial, plan vs online). Iterate a
+/// determinism contracts (fanned vs serial, plan vs online). Iterate a
 /// `BTreeMap`, sort keys first, or accumulate integers instead.
 fn float_determinism(path: &str, m: &FileModel, diags: &mut Vec<Diagnostic>) {
     for f in m.fns.iter().filter(|f| !f.in_test) {

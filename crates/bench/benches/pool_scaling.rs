@@ -1,15 +1,15 @@
-//! `pool_scaling`: publish wall time vs worker-pool width.
+//! `pool_scaling`: publish wall time vs executor thread count.
 //!
-//! The persistent [`WorkerPool`](privelet_matrix::WorkerPool) exists to
-//! amortize thread spawn/join across the many lane stages of a publish;
-//! this harness shows how a full `publish_coefficients_with` call scales
-//! as the executor's thread count grows. Hand-written for the same
-//! reason as `plan_throughput` (the offline criterion stub ignores CLI
-//! args):
+//! Each stage of a multi-threaded `LaneExecutor` that crosses the
+//! parallel cut-over fans its lanes out over scoped threads spawned and
+//! joined within the stage; this harness shows how a full
+//! `publish_coefficients_with` call scales as the executor's thread
+//! count grows, spawn cost included. Hand-written for the same reason as
+//! `plan_throughput` (the offline criterion stub ignores CLI args):
 //!
 //! - `cargo bench --bench pool_scaling` — full run:
 //!   2-D publish (2^12 × 2^6 cells) at 1, 2, 4, … threads up to the
-//!   core count, each on a reused executor so the pool is warm.
+//!   core count, each on a reused executor so its buffers are warm.
 //! - `... -- --test` — smoke mode: tiny matrix, correctness assertion
 //!   (threaded output bit-identical to serial) only.
 //!
@@ -42,7 +42,7 @@ fn fixture(rows: usize, cols: usize) -> FrequencyMatrix {
     .unwrap()
 }
 
-/// Best-of publish time on a reused (warm-pool) executor.
+/// Best-of publish time on a reused (warm-buffer) executor.
 fn best_publish(exec: &mut LaneExecutor, fm: &FrequencyMatrix, budget_secs: f64) -> f64 {
     let cfg = PriveletConfig::pure(1.0, 7);
     let mut best = f64::INFINITY;

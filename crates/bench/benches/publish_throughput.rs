@@ -12,7 +12,7 @@
 //!   cells/sec per (m, ndim) point, m = 2^14..2^22 across 1–3-dim
 //!   schemas, plus the acceptance point.
 //! - `... -- --test` — smoke mode: tiny points, correctness assertions
-//!   only (tiled == per-lane == pooled publish, bitwise); seconds, not
+//!   only (tiled == per-lane == fanned-out publish, bitwise); seconds, not
 //!   minutes. CI runs this on every push.
 //! - `... -- --record <path>` — additionally writes the measured points
 //!   as JSON (the `BENCH_publish_throughput.json` before/after ledger is
@@ -111,7 +111,7 @@ fn measure(exp: u32, ndim: usize, budget_secs: f64) -> Point {
 
 /// Smoke gate: the publish must be identical no matter how the engine
 /// schedules lanes — per-lane (tile width 1), tiled (default width),
-/// wide tiles, and the pooled parallel path must all produce the same
+/// wide tiles, and the fanned-out parallel path must all produce the same
 /// bits for the same seed.
 fn assert_paths_agree() {
     for dims in [vec![1 << 10], vec![64, 32], vec![16, 8, 8]] {
@@ -123,7 +123,7 @@ fn assert_paths_agree() {
             ("default-tile", LaneExecutor::serial()),
             ("tile-64", LaneExecutor::serial().with_tile_lanes(64)),
             (
-                "pooled",
+                "fanned",
                 LaneExecutor::with_threads(4).with_parallel_threshold(0),
             ),
         ];

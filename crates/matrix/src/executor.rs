@@ -1,5 +1,5 @@
 //! The lane-execution engine: multi-stage axis transforms over reusable
-//! ping-pong buffers, fanned out across a persistent worker pool.
+//! ping-pong buffers, each stage fanned out across scoped threads.
 //!
 //! A lane map that allocates a fresh matrix per axis makes a
 //! d-dimensional wavelet transform cost d matrix-sized allocations per
@@ -31,19 +31,22 @@
 //!
 //! Stages of at least [`parallel_threshold`](LaneExecutor::parallel_threshold)
 //! cells on a multi-threaded executor split their lane range into
-//! contiguous chunks executed on a persistent [`WorkerPool`] (spawned
-//! lazily on the first stage that crosses the cut-over and reused across
-//! all later stages and runs), one gather/scatter/scratch buffer set per
-//! worker. Every lane writes a disjoint set of output indices and the
-//! per-lane arithmetic is identical to the serial path, so the parallel
-//! output is **bit-identical** to the serial output — a property the
-//! equivalence test suite asserts.
-//!
-//! [`WorkerPool`]: crate::pool::WorkerPool
+//! contiguous chunks, one per thread: chunk 0 runs on the calling thread,
+//! the others on threads spawned for that stage with
+//! [`std::thread::scope`] and joined before the stage returns, each with
+//! its own gather/scatter/scratch buffers. The executor holds no thread
+//! between stages: a scoped spawn+join costs tens of microseconds, against
+//! hundreds of microseconds for a stage at the cut-over. Every lane writes
+//! a disjoint set of output indices and the per-lane arithmetic is
+//! identical to the serial path, so the parallel output is
+//! **bit-identical** to the serial output — a property the equivalence
+//! test suite asserts. A kernel panic on any chunk surfaces as
+//! [`MatrixError::WorkerPanicked`] and leaves the executor usable.
 
 use crate::ndmatrix::NdMatrix;
-use crate::pool::WorkerPool;
 use crate::{MatrixError, Result};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::thread;
 
 /// A 1-D kernel applied to every lane of one axis.
 ///
@@ -87,12 +90,6 @@ pub struct LaneExecutor {
     threads: usize,
     parallel_min_cells: usize,
     tile_lanes: usize,
-    /// Persistent workers, spawned lazily on the first stage that
-    /// actually fans out (`threads − 1` of them; the calling thread runs
-    /// chunk 0) and reused for every later stage and run. `None` until
-    /// then — a serial executor never spawns a thread. Dropping the
-    /// executor joins them.
-    pool: Option<WorkerPool>,
 }
 
 impl Default for LaneExecutor {
@@ -104,10 +101,11 @@ impl Default for LaneExecutor {
 }
 
 /// Default parallel cut-over: stages below this many cells are not worth
-/// fanning out. Overridable per executor with
-/// [`LaneExecutor::with_parallel_threshold`] (calibrate with the
-/// `pool_scaling` bench).
-pub const MIN_PARALLEL_CELLS: usize = 1 << 14;
+/// fanning out. On a 2-vCPU VM a two-thread Haar stage lost to the
+/// serial walk at 2^14–2^16 cells and won from 2^17 up (sweep recorded in
+/// docs/architecture.md). Overridable per executor with
+/// [`LaneExecutor::with_parallel_threshold`].
+pub const MIN_PARALLEL_CELLS: usize = 1 << 17;
 
 /// Default tile width for the strided-lane path: how many adjacent
 /// inner-index lanes are gathered, transformed and scattered per tile.
@@ -150,14 +148,14 @@ impl LaneExecutor {
     /// An executor with one worker per available CPU
     /// ([`default_threads`]), the [`MIN_PARALLEL_CELLS`] cut-over and
     /// [`DEFAULT_TILE_LANES`]-wide tiles. Stages at or above the cut-over
-    /// fan out to the pool; output is bitwise identical to
+    /// fan out across scoped threads; output is bitwise identical to
     /// [`serial`](Self::serial) either way.
     pub fn new() -> Self {
         Self::with_threads(default_threads())
     }
 
     /// An executor pinned to `threads` workers (`0` is treated as 1). With
-    /// `threads == 1` every stage runs on the calling thread and no pool
+    /// `threads == 1` every stage runs on the calling thread and no thread
     /// is ever spawned.
     pub fn with_threads(threads: usize) -> Self {
         LaneExecutor {
@@ -166,7 +164,6 @@ impl LaneExecutor {
             threads: threads.max(1),
             parallel_min_cells: MIN_PARALLEL_CELLS,
             tile_lanes: DEFAULT_TILE_LANES,
-            pool: None,
         }
     }
 
@@ -288,13 +285,6 @@ impl LaneExecutor {
             let dst_cells = outer * out_len * inner;
             let workers = self.effective_threads(src_cells.max(dst_cells));
             let tile = effective_tile(self.tile_lanes, in_len, out_len, inner);
-            // First stage that genuinely fans out: spawn the persistent
-            // pool (threads − 1 workers; the calling thread runs chunk
-            // 0). Later stages and runs reuse it — spawn-once is the
-            // whole point of the pool.
-            if workers > 1 && self.pool.is_none() {
-                self.pool = Some(WorkerPool::new(self.threads - 1));
-            }
             let input: &[f64] = if first {
                 src.as_slice()
             } else {
@@ -314,7 +304,6 @@ impl LaneExecutor {
                     inner,
                     tile,
                     workers,
-                    self.pool.as_ref(),
                 )?;
                 return NdMatrix::from_vec(&dims, result);
             }
@@ -327,7 +316,6 @@ impl LaneExecutor {
                 inner,
                 tile,
                 workers,
-                self.pool.as_ref(),
             )?;
             first = false;
             std::mem::swap(&mut self.front, &mut self.back);
@@ -356,7 +344,7 @@ pub fn default_threads() -> usize {
 /// `[t*in_len, (t+1)*in_len)`), `tile_out` the corresponding outputs.
 /// With `tile == 1` these collapse to the single-lane gather buffers the
 /// pre-tiling engine used.
-pub(crate) struct WorkerBufs {
+struct WorkerBufs {
     tile_in: Vec<f64>,
     tile_out: Vec<f64>,
     scratch: Vec<f64>,
@@ -364,7 +352,7 @@ pub(crate) struct WorkerBufs {
 }
 
 impl WorkerBufs {
-    pub(crate) fn new(kernel: &dyn LaneKernel, in_len: usize, out_len: usize, tile: usize) -> Self {
+    fn new(kernel: &dyn LaneKernel, in_len: usize, out_len: usize, tile: usize) -> Self {
         let tile = tile.max(1);
         WorkerBufs {
             tile_in: vec![0.0; in_len * tile],
@@ -381,7 +369,7 @@ impl WorkerBufs {
 /// elements at `o*out_len*inner + j*inner + i`.
 ///
 /// `dst` writes go through a raw pointer so the parallel path can hand
-/// every worker the same destination buffer; the ranges written by
+/// every chunk the same destination buffer; the ranges written by
 /// distinct lanes are disjoint by construction.
 ///
 /// # Safety
@@ -389,7 +377,7 @@ impl WorkerBufs {
 /// elements and that no two concurrent calls receive overlapping lane
 /// ranges.
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn process_lanes(
+unsafe fn process_lanes(
     src: &[f64],
     dst: *mut f64,
     kernel: &dyn LaneKernel,
@@ -457,11 +445,33 @@ pub(crate) unsafe fn process_lanes(
     }
 }
 
-/// Runs one stage: through the persistent pool when the run decided to
-/// fan out (`threads > 1` and more than one lane), serially on the
-/// calling thread otherwise. Fallible because a pooled kernel
-/// panic surfaces as [`MatrixError::WorkerPanicked`] instead of
-/// unwinding across worker threads.
+/// The stage's destination pointer, shared by every chunk of a fanned
+/// stage.
+struct SharedOut(*mut f64);
+
+// SAFETY: chunks write through the pointer only inside `run_stage`, each
+// to its own disjoint lane range, and the scope joins every chunk thread
+// before `run_stage` returns and its `dst` borrow ends.
+unsafe impl Sync for SharedOut {}
+
+impl SharedOut {
+    /// Going through `&self` makes a closure capture the whole (`Sync`)
+    /// wrapper rather than just its raw-pointer field.
+    fn ptr(&self) -> *mut f64 {
+        self.0
+    }
+}
+
+/// Runs one stage over `threads` contiguous lane chunks: `chunk =
+/// n_lanes.div_ceil(threads)`, rounded up to whole tiles so no chunk
+/// starts mid-tile. Chunk 0 runs on the calling thread and the others on
+/// scoped threads; a chunk whose thread cannot be spawned runs on the
+/// calling thread instead. Every chunk runs the serial lane walk over its
+/// own range, so the output is bitwise identical to the one-thread walk.
+///
+/// A kernel panic on a fanned stage — on any chunk, the caller's
+/// included — is caught once every chunk has finished and returned as
+/// [`MatrixError::WorkerPanicked`]; a one-thread stage runs unguarded.
 #[allow(clippy::too_many_arguments)]
 fn run_stage(
     src: &[f64],
@@ -472,32 +482,66 @@ fn run_stage(
     inner: usize,
     tile: usize,
     threads: usize,
-    pool: Option<&WorkerPool>,
 ) -> Result<()> {
     let n_lanes = src.len() / in_len;
     debug_assert_eq!(dst.len(), n_lanes * out_len);
-
-    if threads > 1 && n_lanes > 1 {
-        if let Some(pool) = pool {
-            return pool.dispatch(src, dst, kernel, in_len, out_len, inner, tile, threads);
+    let out = SharedOut(dst.as_mut_ptr());
+    let run_chunk = |lane_lo: usize, lane_hi: usize| {
+        let mut bufs = WorkerBufs::new(kernel, in_len, out_len, tile);
+        // SAFETY: `out` points at `dst`, sized `n_lanes * out_len` and
+        // mutably borrowed for this whole call, and no two chunks below
+        // share a lane.
+        unsafe {
+            process_lanes(
+                src,
+                out.ptr(),
+                kernel,
+                in_len,
+                out_len,
+                inner,
+                lane_lo,
+                lane_hi,
+                &mut bufs,
+            );
         }
-    }
+    };
 
-    let mut bufs = WorkerBufs::new(kernel, in_len, out_len, tile);
-    // SAFETY: single caller covering every lane exactly once; `dst` is a
-    // live mutable borrow sized `n_lanes * out_len`.
-    unsafe {
-        process_lanes(
-            src,
-            dst.as_mut_ptr(),
-            kernel,
-            in_len,
-            out_len,
-            inner,
-            0,
-            n_lanes,
-            &mut bufs,
-        );
+    let threads = threads.min(n_lanes).max(1);
+    if threads == 1 {
+        run_chunk(0, n_lanes);
+        return Ok(());
+    }
+    let chunk = n_lanes
+        .div_ceil(threads)
+        .checked_next_multiple_of(tile.max(1))
+        .unwrap_or(n_lanes);
+    let run_chunk = &run_chunk;
+    let caught =
+        |lane_lo, lane_hi| catch_unwind(AssertUnwindSafe(|| run_chunk(lane_lo, lane_hi))).is_err();
+    let panicked = thread::scope(|s| {
+        let mut handles = Vec::with_capacity(threads - 1);
+        let mut panicked = false;
+        for w in 1..threads {
+            let lane_lo = w * chunk;
+            let lane_hi = ((w + 1) * chunk).min(n_lanes);
+            if lane_lo >= lane_hi {
+                break;
+            }
+            match thread::Builder::new().spawn_scoped(s, move || run_chunk(lane_lo, lane_hi)) {
+                Ok(handle) => handles.push(handle),
+                Err(_) => panicked |= caught(lane_lo, lane_hi),
+            }
+        }
+        panicked |= caught(0, chunk.min(n_lanes));
+        // Join every handle: an unjoined panicked thread would re-panic
+        // when the scope ends.
+        for handle in handles {
+            panicked |= handle.join().is_err();
+        }
+        panicked
+    });
+    if panicked {
+        return Err(MatrixError::WorkerPanicked);
     }
     Ok(())
 }
@@ -799,9 +843,10 @@ mod tests {
 
     #[test]
     fn multi_threaded_output_is_bit_identical() {
-        // The matrix exceeds MIN_PARALLEL_CELLS, so the wide executor
-        // genuinely fans every stage out to its pool.
-        let m = sample(&[32, 32, 8, 4]);
+        // The matrix reaches MIN_PARALLEL_CELLS, so the wide executor
+        // genuinely fans every stage out across scoped threads.
+        let m = sample(&[32, 32, 16, 8]);
+        assert!(m.len() >= MIN_PARALLEL_CELLS);
         let mut serial = LaneExecutor::serial();
         let mut wide = LaneExecutor::with_threads(8);
         for axis in 0..4 {

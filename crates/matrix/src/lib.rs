@@ -12,10 +12,9 @@
 //!   axis — over reusable ping-pong buffers ([`executor`]). This is exactly
 //!   the operation the paper's multi-dimensional Haar–nominal wavelet
 //!   transform (standard decomposition, §VI-A) is built from, and the hot
-//!   path under every multi-dimensional transform in the workspace.
-//! - [`WorkerPool`]: the persistent worker threads the executor fans
-//!   large stages out to — spawned once, fed stage chunks over channels,
-//!   bit-identical to serial execution ([`pool`]).
+//!   path under every multi-dimensional transform in the workspace. Large
+//!   stages fan out across scoped threads, bit-identically to serial
+//!   execution.
 //! - [`PrefixSums`]: d-dimensional inclusive prefix sums answering
 //!   hyper-rectangle sums in O(2^d) ([`prefix`]) — the range-count query
 //!   engine substrate.
@@ -28,7 +27,6 @@
 
 pub mod executor;
 pub mod ndmatrix;
-pub mod pool;
 pub mod prefix;
 pub mod shape;
 pub mod slice;
@@ -36,7 +34,6 @@ pub mod view;
 
 pub use executor::{AxisStage, LaneExecutor, LaneKernel};
 pub use ndmatrix::NdMatrix;
-pub use pool::WorkerPool;
 pub use prefix::PrefixSums;
 pub use shape::{CoordIter, Shape};
 pub use slice::{fix_axes, marginalize};
@@ -57,7 +54,8 @@ pub enum MatrixError {
     EmptyShape,
     /// A shape was requested with a zero-sized dimension.
     ZeroDim { axis: usize },
-    /// The total number of cells overflows `usize`.
+    /// The total number of cells overflows `usize`, or a rectangle sum
+    /// would need 2^32 or more prefix-sum corners (32+ dimensions).
     TooLarge,
     /// A data vector's length does not match the shape's cell count.
     DataLenMismatch { expected: usize, got: usize },
@@ -80,9 +78,9 @@ pub enum MatrixError {
     BadAxis { axis: usize, ndim: usize },
     /// A rectangle has `lo > hi` on some axis.
     EmptyRect { axis: usize },
-    /// A lane kernel panicked on a worker-pool thread. The panic was
-    /// contained (the pool stays usable), but the stage's output buffer
-    /// is unspecified.
+    /// A lane kernel panicked in a stage fanned out across threads. The
+    /// panic was contained (the executor stays usable), but the stage's
+    /// output buffer is unspecified.
     WorkerPanicked,
 }
 
@@ -91,7 +89,10 @@ impl std::fmt::Display for MatrixError {
         match self {
             MatrixError::EmptyShape => write!(f, "shape must have at least one dimension"),
             MatrixError::ZeroDim { axis } => write!(f, "dimension {axis} has size zero"),
-            MatrixError::TooLarge => write!(f, "shape cell count overflows usize"),
+            MatrixError::TooLarge => write!(
+                f,
+                "shape too large: cell count overflows usize or 32+ dimensions"
+            ),
             MatrixError::DataLenMismatch { expected, got } => {
                 write!(
                     f,
@@ -124,7 +125,7 @@ impl std::fmt::Display for MatrixError {
                 write!(f, "rectangle is empty on axis {axis} (lo > hi)")
             }
             MatrixError::WorkerPanicked => {
-                write!(f, "a lane kernel panicked on a worker-pool thread")
+                write!(f, "a lane kernel panicked in a fanned-out stage")
             }
         }
     }

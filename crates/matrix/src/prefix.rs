@@ -55,6 +55,9 @@ impl PrefixSums {
 
     /// Sum of the cells in the inclusive hyper-rectangle `[lo, hi]`
     /// (component-wise), via inclusion–exclusion over the 2^d corners.
+    ///
+    /// Errors with [`MatrixError::TooLarge`] at 32 or more dimensions,
+    /// where the corners no longer fit a `u32` mask.
     pub fn rect_sum(&self, lo: &[usize], hi: &[usize]) -> Result<f64> {
         let d = self.shape.ndim();
         if lo.len() != d || hi.len() != d {
@@ -74,6 +77,9 @@ impl PrefixSums {
             if lo[axis] > hi[axis] {
                 return Err(MatrixError::EmptyRect { axis });
             }
+        }
+        if d >= u32::BITS as usize {
+            return Err(MatrixError::TooLarge);
         }
         let mut total = 0.0f64;
         let mut corner = vec![0usize; d];
@@ -96,9 +102,10 @@ impl PrefixSums {
         Ok(total)
     }
 
-    /// Sum of the whole matrix (the prefix value at the far corner).
+    /// Sum of the whole matrix (the prefix value at the far corner; a
+    /// shape always has at least one cell, so there always is one).
     pub fn total(&self) -> f64 {
-        *self.data.last().expect("shapes are never empty")
+        self.data.last().copied().unwrap_or(0.0)
     }
 }
 
@@ -170,6 +177,22 @@ mod tests {
             MatrixError::OutOfBounds { axis: 1, .. }
         ));
         assert!(p.rect_sum(&[0], &[1, 1]).is_err());
+    }
+
+    #[test]
+    fn rect_sum_refuses_32_or_more_dimensions() {
+        // One cell holding 5.0; the 2^d corner mask no longer fits a u32.
+        for d in [32usize, 33] {
+            let m = NdMatrix::from_vec(&vec![1; d], vec![5.0]).unwrap();
+            let p = PrefixSums::build(&m);
+            let origin = vec![0usize; d];
+            assert_eq!(
+                p.rect_sum(&origin, &origin).unwrap_err(),
+                MatrixError::TooLarge,
+                "d = {d}"
+            );
+            assert_eq!(p.total(), 5.0);
+        }
     }
 
     #[test]

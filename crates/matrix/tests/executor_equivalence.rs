@@ -1,18 +1,35 @@
-//! Equivalence suite for the lane-execution engine.
+//! Equivalence and fan-out suite for the lane-execution engine.
 //!
 //! The engine guarantees that (a) a `LaneExecutor` pipeline computes
 //! exactly what chained [`map_lanes`] calls compute, (b) the parallel
-//! path is **bit-identical** to the serial path, and (c) the
-//! cache-blocked tiled walk is **bit-identical** to the per-lane walk at
-//! every tile width. Matrices here are larger than the engine's parallel
-//! cut-over threshold, so multi-threaded executors really fan their
-//! stages out to the worker pool.
+//! path is **bit-identical** to the serial path, (c) the cache-blocked
+//! tiled walk is **bit-identical** to the per-lane walk at every tile
+//! width, (d) a kernel panic on any chunk of a fanned-out stage returns
+//! [`MatrixError::WorkerPanicked`] — never a hang, never a process abort
+//! — and leaves the executor usable, and (e) no helper thread outlives
+//! the `run` that spawned it. Matrices here are larger than the engine's
+//! parallel cut-over threshold (or the threshold is set to 0), so
+//! multi-threaded executors really fan their stages out. CI repeats the
+//! suite in release mode with `PRIVELET_STRESS_ITERS=64`.
 
 mod support;
 
-use privelet_matrix::{AxisStage, LaneExecutor, LaneKernel, NdMatrix};
+use privelet_matrix::executor::MIN_PARALLEL_CELLS;
+use privelet_matrix::{AxisStage, LaneExecutor, LaneKernel, MatrixError, NdMatrix};
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use support::{bits, map_lanes};
+
+/// Stress iterations: `PRIVELET_STRESS_ITERS` when set (CI), else
+/// `default` — kept small so debug runs on few-core machines stay fast.
+fn stress_iters(default: usize) -> usize {
+    std::env::var("PRIVELET_STRESS_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
 
 /// A deliberately asymmetric kernel: output length differs from input,
 /// every output mixes several inputs, and scratch is exercised.
@@ -59,24 +76,24 @@ fn mix_reference(src: &[f64], dst: &mut [f64]) {
     }
 }
 
-fn big_matrix(dims: &[usize]) -> NdMatrix {
-    let n: usize = dims.iter().product();
-    NdMatrix::from_vec(
-        dims,
-        (0..n)
-            .map(|i| (((i * 2654435761) % 977) as f64) / 13.0 - 35.0)
-            .collect(),
-    )
-    .unwrap()
+fn lane_data(cells: usize) -> Vec<f64> {
+    (0..cells)
+        .map(|i| (((i * 2654435761) % 977) as f64) / 13.0 - 35.0)
+        .collect()
 }
 
-/// Shapes whose per-stage work exceeds the engine's parallel threshold.
+fn big_matrix(dims: &[usize]) -> NdMatrix {
+    NdMatrix::from_vec(dims, lane_data(dims.iter().product())).unwrap()
+}
+
+/// Shapes whose per-stage work reaches the engine's parallel threshold
+/// (`MIN_PARALLEL_CELLS` = 2^17 cells).
 fn shapes() -> Vec<Vec<usize>> {
     vec![
-        vec![1 << 16],       // 1-D, contiguous-lane fast path only
-        vec![256, 128],      // axis 0 strided, axis 1 contiguous
-        vec![32, 64, 32],    // middle-axis gather
-        vec![8, 16, 16, 32], // 4-D
+        vec![1 << 17],       // 1-D, contiguous-lane fast path only
+        vec![512, 256],      // axis 0 strided, axis 1 contiguous
+        vec![32, 64, 64],    // middle-axis gather
+        vec![8, 16, 32, 32], // 4-D
         vec![65536, 2],      // extreme outer count, tiny lanes
         vec![2, 65536],      // two huge contiguous lanes
     ]
@@ -107,6 +124,7 @@ fn parallel_executor_is_bit_identical_to_serial() {
         let mut wide = LaneExecutor::with_threads(threads);
         for dims in shapes() {
             let m = big_matrix(&dims);
+            assert!(m.len() >= MIN_PARALLEL_CELLS, "{dims:?} would not fan out");
             for axis in 0..dims.len() {
                 let kernel = Mix {
                     in_len: dims[axis],
@@ -127,19 +145,23 @@ fn parallel_executor_is_bit_identical_to_serial() {
 
 #[test]
 fn parallel_pipeline_is_bit_identical_to_serial_pipeline() {
-    let dims = vec![24usize, 32, 40];
+    // Every stage's input and output reach MIN_PARALLEL_CELLS (the
+    // smallest is 62 × 34 × 80), so each one fans out at the default
+    // cut-over.
+    const _: () = assert!(62 * 34 * 80 >= MIN_PARALLEL_CELLS);
+    let dims = vec![48usize, 64, 80];
     let m = big_matrix(&dims);
     let k0 = Mix {
-        in_len: 24,
-        out_len: 31,
+        in_len: 48,
+        out_len: 62,
     };
     let k1 = Mix {
-        in_len: 32,
-        out_len: 17,
+        in_len: 64,
+        out_len: 34,
     };
     let k2 = Mix {
-        in_len: 40,
-        out_len: 64,
+        in_len: 80,
+        out_len: 128,
     };
     fn stages<'a>(s0: &'a Mix, s1: &'a Mix, s2: &'a Mix) -> Vec<AxisStage<'a>> {
         vec![
@@ -163,7 +185,7 @@ fn parallel_pipeline_is_bit_identical_to_serial_pipeline() {
     let b = LaneExecutor::with_threads(16)
         .run(&m, &stages(&k0, &k1, &k2))
         .unwrap();
-    assert_eq!(a.dims(), &[31, 17, 64]);
+    assert_eq!(a.dims(), &[62, 34, 128]);
     assert_eq!(bits(&a), bits(&b));
 }
 
@@ -178,37 +200,38 @@ const TILE_GRID: [usize; 5] = [1, 3, 8, 64, 1 << 24];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Tiled == per-lane == pooled, bitwise, over random 1–4-dim shapes
+    /// Tiled == per-lane == fanned, bitwise, over random 1–4-dim shapes
     /// with non-power-of-two extents, on every axis, across the tile
-    /// grid. The per-lane serial walk (`tile = 1`) is the reference; a
-    /// multi-threaded executor at the same width covers the pooled path.
+    /// grid, at 1–9 threads (including more threads than lanes). The
+    /// per-lane serial walk (`tile = 1`) is the reference; a
+    /// multi-threaded executor at the same width covers the fanned path.
     #[test]
     fn tiled_walk_is_bit_identical_across_shapes_and_widths(
         dims in prop::collection::vec(1usize..=13, 1..=4),
         out_delta in 0usize..=5,
-        threads in 1usize..=8,
+        threads in 1usize..=9,
     ) {
         let m = big_matrix(&dims);
         for axis in 0..dims.len() {
             let kernel = Mix { in_len: dims[axis], out_len: dims[axis] + out_delta };
             let mut reference = LaneExecutor::serial().with_tile_lanes(1);
             // Fan out unconditionally so small random shapes still cross
-            // the pooled path.
+            // the fanned path.
             let want = reference.map_axis(&m, axis, &kernel).unwrap();
             for tile in TILE_GRID {
                 let mut serial = LaneExecutor::serial().with_tile_lanes(tile);
-                let mut pooled = LaneExecutor::with_threads(threads)
+                let mut fanned = LaneExecutor::with_threads(threads)
                     .with_parallel_threshold(0)
                     .with_tile_lanes(tile);
                 let a = serial.map_axis(&m, axis, &kernel).unwrap();
-                let b = pooled.map_axis(&m, axis, &kernel).unwrap();
+                let b = fanned.map_axis(&m, axis, &kernel).unwrap();
                 prop_assert_eq!(
                     bits(&a), bits(&want),
                     "serial dims {:?} axis {} tile {}", dims, axis, tile
                 );
                 prop_assert_eq!(
                     bits(&b), bits(&want),
-                    "pooled dims {:?} axis {} tile {} threads {}", dims, axis, tile, threads
+                    "fanned dims {:?} axis {} tile {} threads {}", dims, axis, tile, threads
                 );
             }
         }
@@ -271,6 +294,120 @@ fn warm_executor_never_leaks_previous_results() {
     let want = map_lanes(&small, 0, 4, mix_reference).unwrap();
     assert_eq!(got.dims(), want.dims());
     assert_eq!(bits(&got), bits(&want));
+}
+
+/// A kernel that panics on any lane whose first element is the marker.
+struct PanicOnMarker {
+    len: usize,
+    marker: f64,
+}
+
+impl LaneKernel for PanicOnMarker {
+    fn input_len(&self) -> usize {
+        self.len
+    }
+    fn output_len(&self) -> usize {
+        self.len
+    }
+    fn apply(&self, src: &[f64], dst: &mut [f64], _scratch: &mut [f64]) {
+        assert!(src[0] != self.marker, "marker lane");
+        dst.copy_from_slice(src);
+    }
+}
+
+/// A kernel panic inside a fanned-out stage comes back as
+/// `Err(WorkerPanicked)` from `run` — whether it hits a spawned chunk or
+/// chunk 0 on the calling thread — and the executor remains usable.
+#[test]
+fn executor_surfaces_worker_panic_as_error() {
+    let mut exec = LaneExecutor::with_threads(4).with_parallel_threshold(0);
+    let k = PanicOnMarker {
+        len: 8,
+        marker: -2.0,
+    };
+    // 32 contiguous lanes split 4 ways: lanes 0..8 are chunk 0 on the
+    // calling thread, lane 30 sits in the last chunk on a spawned thread.
+    for marker_lane in [30, 0] {
+        let mut data = lane_data(32 * 8);
+        data[marker_lane * 8] = -2.0;
+        let m = NdMatrix::from_vec(&[32, 8], data).unwrap();
+        assert_eq!(
+            exec.map_axis(&m, 1, &k).unwrap_err(),
+            MatrixError::WorkerPanicked,
+            "marker lane {marker_lane}"
+        );
+    }
+    // Same executor, clean input: works, and matches serial bitwise.
+    let clean = NdMatrix::from_vec(&[32, 8], lane_data(32 * 8)).unwrap();
+    let got = exec.map_axis(&clean, 1, &k).unwrap();
+    let want = LaneExecutor::serial().map_axis(&clean, 1, &k).unwrap();
+    assert_eq!(bits(&got), bits(&want));
+}
+
+/// Increments its counter when the owning thread *exits* (thread-local
+/// destructors run during thread termination, and `join` returns only
+/// after that) — the observable that proves a helper thread was reaped.
+struct ExitGuard(Arc<AtomicUsize>);
+
+impl Drop for ExitGuard {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+thread_local! {
+    static EXIT_GUARD: RefCell<Option<ExitGuard>> = const { RefCell::new(None) };
+}
+
+/// Copies lanes through while arming the calling thread's exit guard
+/// with `exits` — so every distinct thread that ran this kernel bumps
+/// the counter exactly once, when (and only when) it terminates.
+struct GuardKernel {
+    len: usize,
+    exits: Arc<AtomicUsize>,
+}
+
+impl LaneKernel for GuardKernel {
+    fn input_len(&self) -> usize {
+        self.len
+    }
+    fn output_len(&self) -> usize {
+        self.len
+    }
+    fn apply(&self, src: &[f64], dst: &mut [f64], _scratch: &mut [f64]) {
+        EXIT_GUARD.with(|g| {
+            let mut g = g.borrow_mut();
+            if g.is_none() {
+                *g = Some(ExitGuard(self.exits.clone()));
+            }
+        });
+        dst.copy_from_slice(src);
+    }
+}
+
+/// Every helper thread a fanned stage spawns has terminated by the time
+/// `run` returns: per-thread exit guards count exactly `threads − 1`
+/// exits per run (the calling thread arms a guard too, but it does not
+/// exit, so it never counts). A leaked thread fails the count rather
+/// than merely outliving the test, and concurrently running tests cannot
+/// perturb it the way a process-wide thread census could.
+#[test]
+fn helper_threads_exit_before_run_returns() {
+    let iters = stress_iters(8);
+    let exits = Arc::new(AtomicUsize::new(0));
+    let mut exec = LaneExecutor::with_threads(3).with_parallel_threshold(0);
+    let k = GuardKernel {
+        len: 16,
+        exits: exits.clone(),
+    };
+    // 64 lanes across 3 threads: both helper threads get a chunk per run.
+    let m = NdMatrix::from_vec(&[64, 16], lane_data(64 * 16)).unwrap();
+    let want = LaneExecutor::serial().map_axis(&m, 1, &k).unwrap();
+    for run in 1..=iters {
+        let got = exec.map_axis(&m, 1, &k).unwrap();
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(exits.load(Ordering::SeqCst), 2 * run, "run {run}");
+    }
 }
 
 // The oracle itself: `map_lanes` visits lanes in row-major order, sees

@@ -6,7 +6,7 @@
 //! vector, and reassembles a matrix whose size on that dimension may
 //! differ. [`map_lanes`] is that reassembly written the obvious way — one
 //! gather, one closure call and one scatter per lane, a fresh matrix per
-//! call — so `LaneExecutor` (tiles, ping-pong buffers, the worker pool)
+//! call — so `LaneExecutor` (tiles, ping-pong buffers, the thread fan-out)
 //! must reproduce it bit for bit.
 //!
 //! Shared by the crate's unit tests (through a `#[path]` module in

@@ -42,7 +42,7 @@
 
 // No unsafe anywhere in this crate — enforced at compile time (and
 // pinned by privelet-analysis lint US002). The only workspace crate
-// with unsafe code is privelet-matrix (worker pool / lane executor).
+// with unsafe code is privelet-matrix (the lane executor).
 #![forbid(unsafe_code)]
 
 pub mod annotated;

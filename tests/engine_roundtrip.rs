@@ -6,6 +6,7 @@
 use privelet_repro::core::transform::HnTransform;
 use privelet_repro::data::schema::{Attribute, Schema};
 use privelet_repro::hierarchy::builder::random as random_hierarchy;
+use privelet_repro::matrix::executor::MIN_PARALLEL_CELLS;
 use privelet_repro::matrix::{LaneExecutor, NdMatrix};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -109,7 +110,7 @@ proptest! {
     /// computes: forward and refined-inverse transforms are bit-identical
     /// to the per-lane walk (`tile = 1`) at every width in the grid —
     /// boundary-heavy widths (3), the default (8), wide tiles (64), and a
-    /// width exceeding every lane count here — on serial *and* pooled
+    /// width exceeding every lane count here — on serial *and* fanned-out
     /// executors, across random 1–4-dim mixed Haar/nominal/SA schemas
     /// with non-power-of-two extents.
     #[test]
@@ -125,10 +126,10 @@ proptest! {
         let b_ref = hn.inverse_refined_with(&mut reference, &c_ref).unwrap();
         for tile in [3usize, 8, 64, 1 << 20] {
             let mut serial = LaneExecutor::serial().with_tile_lanes(tile);
-            let mut pooled = LaneExecutor::with_threads(threads)
+            let mut fanned = LaneExecutor::with_threads(threads)
                 .with_parallel_threshold(0)
                 .with_tile_lanes(tile);
-            for exec in [&mut serial, &mut pooled] {
+            for exec in [&mut serial, &mut fanned] {
                 let c = hn.forward_with(exec, &m).unwrap();
                 prop_assert_eq!(bits(&c), bits(&c_ref), "forward tile {}", tile);
                 let b = hn.inverse_refined_with(exec, &c).unwrap();
@@ -144,7 +145,7 @@ proptest! {
 #[test]
 fn large_mixed_schema_roundtrips_and_matches_across_executors() {
     let schema = Schema::new(vec![
-        Attribute::ordinal("age", 50),
+        Attribute::ordinal("age", 100),
         Attribute::nominal(
             "occ",
             privelet_repro::hierarchy::builder::three_level(48, 6).unwrap(),
@@ -155,6 +156,8 @@ fn large_mixed_schema_roundtrips_and_matches_across_executors() {
     let sa = BTreeSet::from([2usize]);
     let hn = HnTransform::for_schema(&schema, &sa).unwrap();
     let m = data_matrix(&schema, 0xFEED);
+    // Even the first stage's input (100 × 48 × 40 cells) reaches the cut-over.
+    assert!(m.len() >= MIN_PARALLEL_CELLS);
 
     let mut serial = LaneExecutor::serial();
     let mut wide = LaneExecutor::with_threads(8);

@@ -1,9 +1,9 @@
-//! Worker-pool persistence across whole publishes: one `LaneExecutor`
-//! reused for a sequence of publishes (the pool spawns once on the
-//! first fanned-out stage and serves every later pipeline) must produce
-//! bit-identical releases to a fresh executor per publish — and to the
-//! serial reference executor. The reused executor genuinely routes every
-//! stage through its pool.
+//! Executor reuse across whole publishes: one `LaneExecutor` reused for
+//! a sequence of publishes (its ping-pong buffers warm and dirty from
+//! the previous pipeline, every fanned stage spawning and joining its
+//! own scoped threads) must produce bit-identical releases to a fresh
+//! executor per publish — and to the serial reference executor. The
+//! reused executor genuinely fans every stage out.
 
 mod common;
 
@@ -14,8 +14,7 @@ use privelet_repro::matrix::LaneExecutor;
 use std::collections::BTreeSet;
 
 /// A fanned-out executor: more threads than the box has cores and a
-/// zero cut-over, so every stage routes through the worker pool even on
-/// a single-CPU machine.
+/// zero cut-over, so every stage fans out even on a single-CPU machine.
 fn fanned_out() -> LaneExecutor {
     LaneExecutor::with_threads(4).with_parallel_threshold(0)
 }
@@ -34,8 +33,8 @@ fn reused_executor_publishes_bit_identically_to_fresh_executors() {
     let mut reused = fanned_out();
     for round in 0..publishes {
         let fm = data_matrix(&schema, 1000 + round as u64);
-        // Alternate Privelet and Privelet⁺ configs so the reused pool
-        // serves different pipeline shapes back to back.
+        // Alternate Privelet and Privelet⁺ configs so the reused
+        // executor serves different pipeline shapes back to back.
         let cfg = if round % 2 == 0 {
             PriveletConfig::pure(1.0, round as u64)
         } else {
