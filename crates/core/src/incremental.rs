@@ -217,10 +217,10 @@ pub(crate) struct Rebuild {
 /// noised only at explicit epoch boundaries under a lifetime privacy
 /// budget.
 ///
-/// See the [module docs](self) for the bit-identity design. The latest
-/// published epoch is kept on the release
-/// ([`latest`](Self::latest)); serving tiers roll to it via
-/// `ReleaseCore::advance_epoch` in `privelet-query`.
+/// See the [module docs](self) for the bit-identity design. Each
+/// [`advance_epoch`](Self::advance_epoch) returns the published epoch;
+/// serving tiers roll to it via `ReleaseCore::advance_epoch` in
+/// `privelet-query`.
 #[derive(Debug, Clone)]
 pub struct IncrementalRelease {
     schema: Schema,
@@ -230,7 +230,6 @@ pub struct IncrementalRelease {
     exact: NdMatrix,
     states: Vec<AxisState>,
     ledger: BudgetLedger,
-    latest: Option<CoefficientOutput>,
     workspace: BatchWorkspace,
 }
 
@@ -250,7 +249,6 @@ impl IncrementalRelease {
             exact,
             states,
             ledger,
-            latest: None,
             workspace: BatchWorkspace::default(),
         })
     }
@@ -275,11 +273,6 @@ impl IncrementalRelease {
     /// The sequential-composition budget ledger.
     pub fn ledger(&self) -> &BudgetLedger {
         &self.ledger
-    }
-
-    /// The most recently published epoch, if any.
-    pub fn latest(&self) -> Option<&CoefficientOutput> {
-        self.latest.as_ref()
     }
 
     /// Epochs published so far.
@@ -552,14 +545,12 @@ impl IncrementalRelease {
             meta.lambda,
             seed,
         )?;
-        let out = CoefficientOutput {
+        Ok(CoefficientOutput {
             schema: self.schema.clone(),
             transform: self.transform.clone(),
             coefficients,
             meta,
-        };
-        self.latest = Some(out.clone());
-        Ok(out)
+        })
     }
 }
 
@@ -877,7 +868,6 @@ mod tests {
         assert_eq!(*rel.ledger(), ledger);
         assert_eq!(rel.ledger().spent(), 0.0);
         assert_eq!(rel.epoch(), 0);
-        assert!(rel.latest().is_none());
     }
 
     #[test]
@@ -917,8 +907,8 @@ mod tests {
         {
             assert_eq!(a.to_bits(), b.to_bits(), "coeff {i}");
         }
+        assert_eq!(epoch.transform, scratch.transform);
         assert_eq!(rel.epoch(), 1);
-        assert!(rel.latest().is_some());
     }
 
     #[test]

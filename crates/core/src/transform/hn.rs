@@ -102,7 +102,12 @@ impl LaneKernel for RefineKernel<'_> {
 
 /// The multi-dimensional HN wavelet transform: one [`DimTransform`] per
 /// dimension, with cached per-dimension weight vectors.
-#[derive(Debug, Clone)]
+///
+/// Two transforms are equal when every dimension's 1-D transform is:
+/// same kind, same domain, and for nominal dimensions the same hierarchy.
+/// Equal transforms derive identical query supports, which is what lets a
+/// serving tier keep its support cache across epochs.
+#[derive(Debug, Clone, PartialEq)]
 pub struct HnTransform {
     transforms: Vec<DimTransform>,
     weights: Vec<Vec<f64>>,

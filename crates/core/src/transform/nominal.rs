@@ -31,7 +31,7 @@ use privelet_hierarchy::Hierarchy;
 use std::sync::Arc;
 
 /// The 1-D nominal wavelet transform for a hierarchy-equipped domain.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NominalTransform {
     hierarchy: Arc<Hierarchy>,
 }

@@ -195,7 +195,7 @@ pub fn run_accuracy(cfg: &AccuracyConfig) -> Result<Vec<AccuracyRun>> {
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
+            .map(|h| h.join().unwrap_or(Err(EvalError::WorkerPanicked)))
             .collect()
     });
     results.into_iter().collect()

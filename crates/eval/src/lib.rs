@@ -48,6 +48,9 @@ pub enum EvalError {
     Core(privelet::CoreError),
     /// Invalid harness configuration.
     BadConfig(String),
+    /// A worker thread of a fanned-out experiment panicked (the panic
+    /// hook has already printed its message).
+    WorkerPanicked,
 }
 
 impl std::fmt::Display for EvalError {
@@ -57,6 +60,7 @@ impl std::fmt::Display for EvalError {
             EvalError::Query(e) => write!(f, "query error: {e}"),
             EvalError::Core(e) => write!(f, "mechanism error: {e}"),
             EvalError::BadConfig(msg) => write!(f, "bad experiment config: {msg}"),
+            EvalError::WorkerPanicked => write!(f, "an experiment worker thread panicked"),
         }
     }
 }

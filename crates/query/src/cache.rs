@@ -18,13 +18,20 @@
 //! (SA) dimensions, whose supports are the covered cells — so a hit is
 //! one clone of a pointer, never of the support.
 //!
-//! Keys are spread across N independently locked LRU shards: concurrent
-//! lookups of different supports hash to different shards and never
-//! contend, while each shard keeps exact LRU semantics and its own
-//! counters. A one-shard cache is exactly one mutex around one LRU.
-//! [`ShardedSupportCache::get_or_derive`] holds the one shard's lock
-//! across the derivation, so each distinct `(dim, lo, hi)` key is
-//! derived at most once per residency in its shard.
+//! Keys are spread across a fixed number of independently locked LRU
+//! shards: concurrent lookups of different supports hash to different
+//! shards and rarely contend, while each shard keeps exact LRU semantics
+//! and its own counters. [`ShardedSupportCache::get_or_derive`] holds the
+//! one shard's lock across the derivation, so each distinct
+//! `(dim, lo, hi)` key is derived at most once per residency in its
+//! shard.
+//!
+//! A cached support never goes stale: it is a pure function of
+//! `(dim, lo, hi)` and the transform, and a serving engine only advances
+//! to epochs published under the same transform
+//! ([`ReleaseCore::advance_epoch`](crate::ReleaseCore::advance_epoch)).
+//! So entries leave the cache only by LRU eviction, and the capacity is
+//! the cache's one setting.
 
 use crate::{QueryError, Result};
 use privelet::transform::{HnTransform, Transform1d};
@@ -104,8 +111,8 @@ impl DimSupport {
 /// a pointer, never the support.
 pub type SharedSupport = Arc<DimSupport>;
 
-/// Hit/miss/eviction counters and current occupancy of a support cache
-/// (one shard, or the aggregate over all shards).
+/// Hit/miss/eviction counters and current occupancy of a support cache,
+/// summed over its shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -114,11 +121,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to respect the capacity bound.
     pub evictions: u64,
-    /// Entries explicitly dropped via
-    /// [`ShardedSupportCache::invalidate_where`] — kept separate from
-    /// `evictions` because invalidation is a correctness action (the
-    /// caller knows the entries are stale), not capacity pressure.
-    pub invalidations: u64,
     /// Entries currently held.
     pub len: usize,
     /// Maximum entries held (0 disables caching).
@@ -145,7 +147,7 @@ impl CacheStats {
 /// `BTreeMap<tick, key>` index, so `get`/`insert` are O(log capacity)
 /// and eviction pops the smallest tick. A capacity of 0 disables the
 /// cache: every lookup misses and nothing is stored.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct SupportCache {
     capacity: usize,
     entries: HashMap<SupportKey, (SharedSupport, u64)>,
@@ -154,7 +156,6 @@ struct SupportCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    invalidations: u64,
 }
 
 impl SupportCache {
@@ -205,48 +206,27 @@ impl SupportCache {
         self.by_tick.insert(self.tick, key);
     }
 
-    /// Drops every resident entry whose key matches `pred`, returning
-    /// how many were dropped. Invalidations are counted separately from
-    /// evictions (see [`CacheStats::invalidations`]); hit/miss counters
-    /// do not move, so `hits + misses` keeps equaling the lookup count.
-    ///
-    /// Epoch note: per-dimension supports are **data-independent** — a
-    /// pure function of `(dim, lo, hi)` and the transform — so rolling a
-    /// release to a new epoch of the *same* transform must NOT
-    /// invalidate them. This hook exists for the cases where cached
-    /// state really does go stale: a schema/transform swap, or targeted
-    /// memory reclamation.
-    fn invalidate_where(&mut self, mut pred: impl FnMut(&SupportKey) -> bool) -> usize {
-        let stale: Vec<SupportKey> = self.entries.keys().filter(|k| pred(k)).copied().collect();
-        for key in &stale {
-            if let Some((_, tick)) = self.entries.remove(key) {
-                self.by_tick.remove(&tick);
-            }
-        }
-        self.invalidations += stale.len() as u64;
-        stale.len()
-    }
-
     /// Current counters and occupancy.
     fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
             evictions: self.evictions,
-            invalidations: self.invalidations,
             len: self.entries.len(),
             capacity: self.capacity,
         }
     }
 }
 
-/// Default shard count of a [`ShardedSupportCache`]: enough lanes that a
-/// handful of serving threads rarely collide, few enough that per-shard
-/// capacity stays useful at the default total capacity.
-pub const DEFAULT_SHARD_COUNT: usize = 8;
+/// Shard count of every [`ShardedSupportCache`]. Measured on a 2-vCPU
+/// machine (stream schema, `answer_with_error` traffic): eight shards
+/// serve 1.35× (hot pool) to 1.6× (evicting) the queries per second of
+/// one shard with two threads, and stay within 10% of it with one. See
+/// `docs/architecture.md` for the table.
+const SHARD_COUNT: usize = 8;
 
-/// The support cache of the serving engine: N independently locked LRU
-/// shards, keys routed by a fixed (process-stable) hash of
+/// The support cache of the serving engine: eight independently locked
+/// LRU shards, keys routed by a fixed (process-stable) hash of
 /// `(dim, lo, hi)`.
 ///
 /// Every operation takes `&self` — locking is per shard and internal —
@@ -254,39 +234,28 @@ pub const DEFAULT_SHARD_COUNT: usize = 8;
 /// from any number of threads. Lookups of supports in different shards
 /// proceed fully in parallel; only same-shard lookups serialize, and
 /// they hold the lock for the O(log capacity) LRU touch (plus the
-/// O(polylog m) derivation on a miss — see
-/// [`get_or_derive`](Self::get_or_derive) for why that is deliberate).
+/// derivation on a miss — see [`get_or_derive`](Self::get_or_derive)
+/// for why that is deliberate).
 ///
 /// The total `capacity` is split evenly across shards (rounded up, so
-/// the bound per shard is `ceil(capacity / shards)`); capacity 0
-/// disables every shard. Counters are kept per shard and aggregate in
-/// [`stats`](Self::stats); [`shard_stats`](Self::shard_stats) exposes
-/// the per-shard breakdown for diagnostics.
+/// the bound per shard is `ceil(capacity / 8)`); capacity 0
+/// disables every shard. Counters are kept per shard and summed by
+/// [`stats`](Self::stats).
 #[derive(Debug)]
 pub struct ShardedSupportCache {
     shards: Vec<Mutex<SupportCache>>,
 }
 
 impl ShardedSupportCache {
-    /// A cache of `shards` independently locked shards (at least 1)
-    /// holding at most `capacity` supports in total (0 disables caching).
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(shards)
-        };
+    /// A cache holding at most `capacity` supports in total (0 disables
+    /// caching).
+    pub fn new(capacity: usize) -> Self {
+        let per_shard = capacity.div_ceil(SHARD_COUNT);
         ShardedSupportCache {
-            shards: (0..shards)
+            shards: (0..SHARD_COUNT)
                 .map(|_| Mutex::new(SupportCache::new(per_shard)))
                 .collect(),
         }
-    }
-
-    /// Number of shards (≥ 1).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard a key routes to. The hash is `DefaultHasher::new()`
@@ -304,18 +273,6 @@ impl ShardedSupportCache {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up a support in its shard, marking it most recently used on
-    /// a hit. Exactly one shard counter (hit or miss) moves per call.
-    pub fn get(&self, key: SupportKey) -> Option<SharedSupport> {
-        self.lock_shard(self.shard_for(key)).get(key)
-    }
-
-    /// Stores a freshly derived support in its shard, evicting that
-    /// shard's least recently used entry if it is full.
-    pub fn insert(&self, key: SupportKey, support: SharedSupport) {
-        self.lock_shard(self.shard_for(key)).insert(key, support)
-    }
-
     /// Looks up `key`, deriving and inserting it via `derive` on a miss
     /// — all under the key's shard lock, so concurrent requests for the
     /// same key perform exactly one derivation (the losers of the lock
@@ -325,9 +282,8 @@ impl ShardedSupportCache {
     /// so the derive-once guarantee costs next to nothing; on
     /// identity-transformed (SA) dimensions a wide predicate derives
     /// O(interval length) pairs while the shard is locked, which is
-    /// exactly when derive-once matters most (redundant O(m) derivations
-    /// would hurt far more than the wait), but SA-heavy deployments
-    /// should size the shard count with that tail in mind.
+    /// exactly when derive-once matters most: redundant O(m) derivations
+    /// would hurt far more than the wait.
     ///
     /// Errors from `derive` propagate untouched and insert nothing; the
     /// miss is still counted (every call moves exactly one hit or miss
@@ -346,54 +302,19 @@ impl ShardedSupportCache {
         Ok(support)
     }
 
-    /// Drops every resident entry (across all shards) whose key matches
-    /// `pred`, returning how many were dropped. Invalidations are
-    /// counted apart from evictions, and hit/miss counters do not move.
-    /// Epoch advances do **not** need this: supports are data-independent
-    /// and survive coefficient rolls. Shards
-    /// are swept one lock at a time — concurrent lookups in other shards
-    /// proceed, so a sweep never stalls the serving tier globally.
-    pub fn invalidate_where(&self, mut pred: impl FnMut(&SupportKey) -> bool) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.lock_shard(i).invalidate_where(&mut pred))
-            .sum()
-    }
-
-    /// Aggregated counters and occupancy across all shards. `capacity`
-    /// is the sum of per-shard bounds (≥ the constructor's `capacity`
-    /// due to the even split rounding up).
+    /// Counters and occupancy summed over all shards. `capacity` is the
+    /// sum of per-shard bounds (≥ the constructor's `capacity` due to
+    /// the even split rounding up).
     pub fn stats(&self) -> CacheStats {
-        self.shard_stats()
-            .into_iter()
+        (0..self.shards.len())
+            .map(|i| self.lock_shard(i).stats())
             .fold(CacheStats::default(), |acc, s| CacheStats {
                 hits: acc.hits + s.hits,
                 misses: acc.misses + s.misses,
                 evictions: acc.evictions + s.evictions,
-                invalidations: acc.invalidations + s.invalidations,
                 len: acc.len + s.len,
                 capacity: acc.capacity + s.capacity,
             })
-    }
-
-    /// Per-shard counters, in shard order — the breakdown serving-tier
-    /// diagnostics report next to the aggregate.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        (0..self.shards.len())
-            .map(|i| self.lock_shard(i).stats())
-            .collect()
-    }
-}
-
-impl Clone for ShardedSupportCache {
-    /// Deep-copies every shard's entries and counters (locking each
-    /// shard in turn; the clone observes each shard at a single point in
-    /// time, not the whole cache atomically).
-    fn clone(&self) -> Self {
-        ShardedSupportCache {
-            shards: (0..self.shards.len())
-                .map(|i| Mutex::new(self.lock_shard(i).clone()))
-                .collect(),
-        }
     }
 }
 
@@ -514,78 +435,30 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_where_drops_matches_and_counts_separately() {
-        let mut cache = SupportCache::new(8);
-        for i in 0..4usize {
-            cache.insert((i % 2, i, i), support(i));
-        }
-        // Invalidate dimension 0's entries: (0,0,0) and (0,2,2).
-        let dropped = cache.invalidate_where(|&(dim, _, _)| dim == 0);
-        assert_eq!(dropped, 2);
-        let stats = cache.stats();
-        assert_eq!(stats.invalidations, 2);
-        assert_eq!(stats.evictions, 0, "invalidation is not eviction");
-        assert_eq!(stats.len, 2);
-        // Dropped keys miss, survivors hit; hits+misses still counts
-        // lookups only (inserts move neither).
-        assert!(cache.get((0, 0, 0)).is_none());
-        assert!(cache.get((1, 1, 1)).is_some());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        // Re-inserting an invalidated key needs no eviction.
-        cache.insert((0, 0, 0), support(9));
-        assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.stats().len, 3);
-    }
-
-    #[test]
-    fn sharded_invalidate_where_sweeps_all_shards() {
-        let cache = ShardedSupportCache::new(64, 4);
-        let keys: Vec<SupportKey> = (0..12).map(|i| (i % 3, i, i + 1)).collect();
-        for (i, &key) in keys.iter().enumerate() {
-            cache.insert(key, support(i));
-        }
-        let dropped = cache.invalidate_where(|&(dim, _, _)| dim == 1);
-        assert_eq!(dropped, 4, "keys 1, 4, 7, 10");
-        let stats = cache.stats();
-        assert_eq!(stats.invalidations, 4);
-        assert_eq!(stats.evictions, 0);
-        assert_eq!(stats.len, 8);
-        for &key in &keys {
-            assert_eq!(cache.get(key).is_some(), key.0 != 1);
-        }
-    }
-
-    #[test]
     fn sharded_cache_routes_and_aggregates() {
-        let cache = ShardedSupportCache::new(64, 4);
-        assert_eq!(cache.shard_count(), 4);
+        let cache = ShardedSupportCache::new(64);
         let keys: Vec<SupportKey> = (0..16).map(|i| (i % 3, i, i + 1)).collect();
         for (i, &key) in keys.iter().enumerate() {
-            assert!(cache.get(key).is_none());
-            cache.insert(key, support(i));
+            cache
+                .get_or_derive(key, || Ok::<_, ()>(support(i)))
+                .unwrap();
         }
         for (i, &key) in keys.iter().enumerate() {
-            assert_eq!(
-                cache.get(key).unwrap().offsets[0],
-                i,
-                "routing must be stable"
-            );
+            let hit = cache
+                .get_or_derive(key, || Err("resident keys must not re-derive"))
+                .unwrap();
+            assert_eq!(hit.offsets[0], i, "routing must be stable");
         }
         let stats = cache.stats();
         assert_eq!(stats.hits, 16);
         assert_eq!(stats.misses, 16);
         assert_eq!(stats.len, 16);
         assert_eq!(stats.capacity, 64);
-        let per_shard = cache.shard_stats();
-        assert_eq!(per_shard.len(), 4);
-        assert_eq!(per_shard.iter().map(|s| s.len).sum::<usize>(), 16);
-        assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), 16);
     }
 
     #[test]
     fn sharded_get_or_derive_derives_once_and_counts_errors() {
-        let cache = ShardedSupportCache::new(64, 4);
+        let cache = ShardedSupportCache::new(64);
         let mut derivations = 0;
         for _ in 0..3 {
             let s = cache
@@ -611,7 +484,7 @@ mod tests {
 
     #[test]
     fn sharded_zero_capacity_disables_every_shard() {
-        let cache = ShardedSupportCache::new(0, 4);
+        let cache = ShardedSupportCache::new(0);
         let mut derivations = 0;
         for _ in 0..2 {
             cache
@@ -627,15 +500,5 @@ mod tests {
         assert_eq!(stats.capacity, 0);
         assert_eq!(stats.len, 0);
         assert_eq!(stats.misses, 2);
-    }
-
-    #[test]
-    fn sharded_clone_copies_entries_and_counters() {
-        let cache = ShardedSupportCache::new(8, 2);
-        cache.insert((0, 0, 1), support(1));
-        cache.get((0, 0, 1));
-        let copy = cache.clone();
-        assert_eq!(copy.stats(), cache.stats());
-        assert_eq!(copy.get((0, 0, 1)).unwrap().offsets[0], 1);
     }
 }

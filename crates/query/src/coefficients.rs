@@ -13,9 +13,15 @@
 //!
 //! A release is write-once, read-many, so no lock guards the
 //! coefficients (nothing mutates them), and online lookups of different
-//! supports hash to different cache shards and never contend. Cloning
+//! supports hash to different cache shards and rarely contend. Cloning
 //! the engine is two `Arc` bumps, so the natural deployment is one clone
 //! per serving thread over one core.
+//!
+//! **One configuration.** The engine has no settings: the cache holds
+//! [`DEFAULT_SUPPORT_CACHE_CAPACITY`] supports over a fixed shard count,
+//! and an epoch advance keeps it, because [`ReleaseCore::advance_epoch`]
+//! only accepts epochs published under the same transform — the one
+//! input a cached support depends on besides its `(dim, lo, hi)` key.
 //!
 //! **Bitwise-equality guarantee.** There is one support derivation and
 //! one sparse tensor-product walk, both pure and shared by the online
@@ -37,9 +43,7 @@
 //! floating-point rounding (property-tested at the workspace root).
 
 use crate::annotated::AnnotatedAnswer;
-use crate::cache::{
-    CacheStats, ShardedSupportCache, SharedSupport, SupportKey, DEFAULT_SHARD_COUNT,
-};
+use crate::cache::{CacheStats, ShardedSupportCache, SharedSupport};
 use crate::plan::QueryPlan;
 use crate::range_query::RangeQuery;
 use crate::release::ReleaseCore;
@@ -67,21 +71,12 @@ pub struct ConcurrentEngine {
 
 impl ConcurrentEngine {
     /// Wraps a (possibly already shared) release core with a fresh cache
-    /// of [`DEFAULT_SUPPORT_CACHE_CAPACITY`] entries over
-    /// [`DEFAULT_SHARD_COUNT`] shards. The core's one-time work
-    /// (validation, refinement, total) is not repeated.
+    /// of [`DEFAULT_SUPPORT_CACHE_CAPACITY`] supports. The core's
+    /// one-time work (validation, refinement, total) is not repeated.
     pub fn new(core: Arc<ReleaseCore>) -> Self {
-        Self::with_cache(core, DEFAULT_SUPPORT_CACHE_CAPACITY, DEFAULT_SHARD_COUNT)
-    }
-
-    /// Wraps a release core with a fresh cache holding at most
-    /// `capacity` supports in total across `shards` shards (capacity 0
-    /// disables caching; shard count is clamped to ≥ 1, and one shard is
-    /// a single-lock LRU).
-    pub fn with_cache(core: Arc<ReleaseCore>, capacity: usize, shards: usize) -> Self {
         ConcurrentEngine {
             core,
-            cache: Arc::new(ShardedSupportCache::new(capacity, shards)),
+            cache: Arc::new(ShardedSupportCache::new(DEFAULT_SUPPORT_CACHE_CAPACITY)),
         }
     }
 
@@ -93,14 +88,15 @@ impl ConcurrentEngine {
         Ok(Self::new(Arc::new(ReleaseCore::from_output(out)?)))
     }
 
-    /// Rolls the engine to a new epoch of the same release series (see
-    /// [`ReleaseCore::advance_epoch`] for the lineage validation). The
-    /// returned engine shares this engine's cache `Arc`: supports are
-    /// pure functions of `(dim, lo, hi)` and the — lineage-pinned —
-    /// transform, so every warm entry stays valid across epochs; only
-    /// coefficient state rolls with the core. `self` keeps serving the
-    /// old epoch, so a serving tier can drain in-flight traffic on the
-    /// old engine while new traffic routes to the new one.
+    /// Rolls the engine to a new epoch of the same release series.
+    /// Errors with [`QueryError::ShapeMismatch`] unless the epoch was
+    /// published under this engine's transform (see
+    /// [`ReleaseCore::advance_epoch`]). The returned engine shares this
+    /// engine's cache `Arc`: supports are pure functions of
+    /// `(dim, lo, hi)` and the transform, so every warm entry stays valid
+    /// across epochs; only coefficient state rolls with the core. `self`
+    /// keeps serving the old epoch, so a serving tier can drain in-flight
+    /// traffic on the old engine while new traffic routes to the new one.
     pub fn advance_epoch(&self, out: &CoefficientOutput) -> Result<Self> {
         Ok(ConcurrentEngine {
             core: Arc::new(self.core.advance_epoch(out)?),
@@ -193,28 +189,9 @@ impl ConcurrentEngine {
         self.core.execute_plan_with_error(plan)
     }
 
-    /// Aggregated hit/miss/eviction counters across all cache shards.
+    /// Hit/miss/eviction counters and occupancy of the support cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Drops every cached support whose key matches `pred`, returning
-    /// the number removed. Epoch advances do **not** need this —
-    /// supports are data-independent and survive coefficient rolls;
-    /// reach for it on genuine staleness (schema or transform swap) or
-    /// deliberate memory reclamation.
-    pub fn invalidate_where(&self, pred: impl FnMut(&SupportKey) -> bool) -> usize {
-        self.cache.invalidate_where(pred)
-    }
-
-    /// Per-shard cache counters, in shard order.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.cache.shard_stats()
-    }
-
-    /// Number of cache shards.
-    pub fn shard_count(&self) -> usize {
-        self.cache.shard_count()
     }
 
     /// Selectivity of a query relative to a tuple count `n`.
@@ -442,7 +419,7 @@ mod tests {
     fn online_cache_amortizes_repeated_predicates() {
         let (fm, out) = medical_release(19);
         let core = Arc::new(ReleaseCore::from_output(&out).unwrap());
-        let ans = ConcurrentEngine::with_cache(Arc::clone(&core), 64, 1);
+        let ans = ConcurrentEngine::new(Arc::clone(&core));
         assert_eq!(ans.cache_stats().hits, 0);
         let q = &medical_queries(&fm)[1];
         let first = ans.answer(q).unwrap();
@@ -455,10 +432,11 @@ mod tests {
         let after_second = ans.cache_stats();
         assert_eq!(after_second.hits, 2);
         assert_eq!(after_second.misses, 2);
-        // A disabled cache still answers correctly.
-        let uncached = ConcurrentEngine::with_cache(core, 0, DEFAULT_SHARD_COUNT);
-        assert_eq!(uncached.answer(q).unwrap(), first);
-        assert_eq!(uncached.cache_stats().hits, 0);
+        // A second engine over the same core starts with a cold cache
+        // of its own and answers identically.
+        let cold = ConcurrentEngine::new(core);
+        assert_eq!(cold.answer(q).unwrap().to_bits(), first.to_bits());
+        assert_eq!(cold.cache_stats().hits, 0);
     }
 
     #[test]
@@ -640,10 +618,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_counters_report_the_shards() {
+    fn cache_counters_conserve_lookups() {
         let (fm, out) = medical_release(37);
-        let engine =
-            ConcurrentEngine::with_cache(Arc::new(ReleaseCore::from_output(&out).unwrap()), 64, 4);
+        let engine = ConcurrentEngine::new(Arc::new(ReleaseCore::from_output(&out).unwrap()));
         assert_eq!(engine.core().coefficients().len(), out.coefficient_count());
         let qs = medical_queries(&fm);
         for q in &qs {
@@ -653,10 +630,6 @@ mod tests {
         // The last query repeats query 2: both dims hit; counters conserve.
         assert!(stats.hits >= 2);
         assert_eq!(stats.hits + stats.misses, (qs.len() * 2) as u64);
-        assert_eq!(
-            engine.shard_stats().iter().map(|s| s.len).sum::<usize>(),
-            stats.len
-        );
-        assert_eq!(engine.shard_count(), 4);
+        assert_eq!(stats.len as u64, stats.misses, "nothing evicted");
     }
 }

@@ -29,7 +29,8 @@
 //! - [`plan`] — [`QueryPlan`]: a batch compiled into interned supports
 //!   and CSR-style term lists over one contiguous arena.
 //! - [`cache`] — [`ShardedSupportCache`]: the bounded, hash-sharded LRU
-//!   memoizing per-dimension supports for the online path.
+//!   memoizing per-dimension supports for the online path. Its one
+//!   setting is the capacity; the shard count is a measured constant.
 //! - [`release`] — [`ReleaseCore`]: the immutable `Send + Sync` core of
 //!   one coefficient-domain release, shared across threads via `Arc`,
 //!   and its uncached answering paths (the engine's bitwise oracle).
@@ -61,7 +62,7 @@ pub mod workload;
 pub use annotated::AnnotatedAnswer;
 pub use answerer::Answerer;
 pub use buckets::{quantile_rows, BucketRow};
-pub use cache::{CacheStats, DimSupport, ShardedSupportCache, DEFAULT_SHARD_COUNT};
+pub use cache::{CacheStats, DimSupport, ShardedSupportCache};
 pub use coefficients::ConcurrentEngine;
 pub use metrics::{relative_error, sanity_bound, square_error};
 pub use plan::QueryPlan;
@@ -92,7 +93,8 @@ pub enum QueryError {
         node: usize,
         nodes: usize,
     },
-    /// The matrix/prefix structure does not match the schema.
+    /// The matrix/prefix structure does not match the schema, or an
+    /// epoch's transform differs from the release it should advance.
     ShapeMismatch,
     /// A selectivity was requested over an empty population (`n == 0`),
     /// for which the ratio is undefined.

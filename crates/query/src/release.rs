@@ -123,26 +123,27 @@ impl ReleaseCore {
 
     /// Rolls this core to a new epoch of the *same* release series: a
     /// fresh [`CoefficientOutput`] (e.g. from
-    /// `IncrementalRelease::advance_epoch` in `privelet`) re-validated
-    /// against this core's serving lineage, then rebuilt (refinement +
-    /// total) into a new immutable core.
+    /// `IncrementalRelease::advance_epoch` in `privelet`) published under
+    /// this core's transform, rebuilt (refinement + total) into a new
+    /// immutable core.
     ///
-    /// Lineage validation errors with [`QueryError::ShapeMismatch`] when
-    /// the epoch's transform does not describe this core's schema —
-    /// including a nominal hierarchy that differs structurally — or its
-    /// coefficient matrix has different dims. Serving tiers advance by
-    /// swapping the returned core in; the old core stays valid for
+    /// The lineage rule is "same transform": errors with
+    /// [`QueryError::ShapeMismatch`] unless `out.transform` equals this
+    /// core's transform. Shape alone is not enough — on a power-of-two
+    /// ordinal axis Privelet⁺'s identity transform has the same
+    /// coefficient shape as Haar, yet reads different coefficients. The
+    /// rebuild re-validates the coefficient dims. Serving tiers advance
+    /// by swapping the returned core in; the old core stays valid for
     /// threads still holding it (epoch advance is never destructive to
     /// in-flight reads).
     ///
     /// Cache note: per-dimension supports are pure functions of
     /// `(dim, lo, hi)` and the transform, and the transform is pinned by
-    /// the lineage check — so support caches **survive** an epoch
-    /// advance untouched. Only coefficient state (this core's refined
-    /// matrix and noisy total) rolls.
+    /// the lineage rule — so support caches **survive** an epoch advance
+    /// untouched. Only coefficient state (this core's refined matrix and
+    /// noisy total) rolls.
     pub fn advance_epoch(&self, out: &CoefficientOutput) -> Result<Self> {
-        crate::plan::check_release_metadata(&self.schema, &out.transform)?;
-        if out.coefficients.dims() != self.coeffs.dims() {
+        if out.transform != self.transform {
             return Err(QueryError::ShapeMismatch);
         }
         Self::with_meta(
@@ -313,6 +314,60 @@ mod tests {
             ReleaseCore::new(out.schema.clone(), out.transform.clone(), &wrong).unwrap_err(),
             QueryError::ShapeMismatch
         );
+    }
+
+    #[test]
+    fn advance_epoch_refuses_a_different_transform_of_the_same_shape() {
+        use crate::predicate::Predicate;
+        use crate::ConcurrentEngine;
+        use privelet_data::schema::Attribute;
+        use std::collections::BTreeSet;
+
+        // One power-of-two ordinal axis: Haar and Privelet⁺'s identity
+        // transform both emit 8 coefficients, so only the transform
+        // itself tells the two releases apart.
+        let schema = Schema::new(vec![Attribute::ordinal("v", 8)]).unwrap();
+        let cells = vec![5.0, 10.0, 3.0, 7.0, 8.0, 2.0, 9.0, 6.0];
+        let matrix = NdMatrix::from_vec(&[8], cells).unwrap();
+        let fm = FrequencyMatrix::from_parts(schema, matrix).unwrap();
+        let haar = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 3)).unwrap();
+        let sa = BTreeSet::from([0]);
+        let identity = publish_coefficients(&fm, &PriveletConfig::plus(1.0, sa, 4)).unwrap();
+        assert_eq!(haar.coefficients.dims(), identity.coefficients.dims());
+        assert_ne!(haar.transform, identity.transform);
+
+        let core = ReleaseCore::from_output(&haar).unwrap();
+        assert_eq!(
+            core.advance_epoch(&identity).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
+
+        let engine = ConcurrentEngine::from_output(&haar).unwrap();
+        let queries: Vec<RangeQuery> = (0..8)
+            .flat_map(|lo| {
+                (lo..8).map(move |hi| RangeQuery::new(vec![Predicate::Range { lo, hi }]))
+            })
+            .collect();
+        let answer_bits = |e: &ConcurrentEngine| -> Vec<u64> {
+            queries
+                .iter()
+                .map(|q| e.answer(q).unwrap().to_bits())
+                .collect()
+        };
+        let before = answer_bits(&engine);
+        assert_eq!(
+            engine.advance_epoch(&identity).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
+        assert_eq!(answer_bits(&engine), before);
+
+        // A later epoch under the same transform still advances, keeps the
+        // warm cache, and answers like a cold engine on that epoch.
+        let next = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 5)).unwrap();
+        let advanced = engine.advance_epoch(&next).unwrap();
+        let cold = ConcurrentEngine::from_output(&next).unwrap();
+        assert_eq!(answer_bits(&advanced), answer_bits(&cold));
+        assert_eq!(advanced.cache_stats().misses, queries.len() as u64);
     }
 
     #[test]

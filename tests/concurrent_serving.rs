@@ -136,7 +136,7 @@ fn contended_sharded_cache_conserves_counters_and_derives_once() {
     const KEYS: usize = 48;
     const WRITERS: usize = 8;
     let iters = stress_iters(16);
-    let cache = ShardedSupportCache::new(4 * KEYS, 8);
+    let cache = ShardedSupportCache::new(4 * KEYS);
     let keys: Vec<SupportKey> = (0..KEYS).map(|i| (i % 3, 5 * i, 5 * i + 3)).collect();
     let derivations: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
 
@@ -182,14 +182,6 @@ fn contended_sharded_cache_conserves_counters_and_derives_once() {
     }
     // Misses == inserts == distinct keys, since each key missed once.
     assert_eq!(stats.misses as usize, KEYS);
-    // The per-shard breakdown sums to the aggregate.
-    let per_shard = cache.shard_stats();
-    assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), stats.hits);
-    assert_eq!(
-        per_shard.iter().map(|s| s.misses).sum::<u64>(),
-        stats.misses
-    );
-    assert_eq!(per_shard.iter().map(|s| s.len).sum::<usize>(), stats.len);
 }
 
 /// The same hammering under eviction pressure (capacity far below the
@@ -200,7 +192,7 @@ fn contended_sharded_cache_conserves_counters_under_eviction_pressure() {
     const KEYS: usize = 64;
     const WRITERS: usize = 8;
     let iters = stress_iters(8);
-    let cache = ShardedSupportCache::new(8, 4); // 2 entries per shard
+    let cache = ShardedSupportCache::new(8); // 1 entry per shard
     let keys: Vec<SupportKey> = (0..KEYS).map(|i| (i % 3, 5 * i, 5 * i + 3)).collect();
     let derivations: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
 

@@ -31,7 +31,6 @@ use privelet_repro::eval::ExactEvaluate;
 use privelet_repro::noise::RunningStats;
 use privelet_repro::query::{
     AnnotatedAnswer, Answerer, ConcurrentEngine, Predicate, RangeQuery, ReleaseCore,
-    DEFAULT_SHARD_COUNT,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -133,7 +132,7 @@ fn error_annotation_adds_zero_support_derivations() {
     // Cold annotated pass: exactly one derivation (= miss) per distinct
     // triple — the factor rides the derivation instead of adding one.
     let core = Arc::new(ReleaseCore::from_output(&release).unwrap());
-    let coeff = ConcurrentEngine::with_cache(core, 4096, DEFAULT_SHARD_COUNT);
+    let coeff = ConcurrentEngine::new(core);
     let first: Vec<f64> = queries
         .iter()
         .map(|q| coeff.answer_with_error(q).unwrap().value)

@@ -12,7 +12,6 @@ use privelet_repro::core::transform::HnTransform;
 use privelet_repro::data::schema::{Attribute, Schema};
 use privelet_repro::query::{
     generate_workload, Answerer, ConcurrentEngine, QueryPlan, ReleaseCore, WorkloadConfig,
-    DEFAULT_SHARD_COUNT,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -138,7 +137,7 @@ fn online_cache_derives_each_triple_once() {
     let fm = data_matrix(&schema, 7);
     let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 13)).unwrap();
     let core = ReleaseCore::from_output(&release).unwrap();
-    let coeff = ConcurrentEngine::with_cache(Arc::new(core), 4096, DEFAULT_SHARD_COUNT);
+    let coeff = ConcurrentEngine::new(Arc::new(core));
     let queries = workload(&schema, 99);
     let distinct = distinct_triples(&schema, &queries);
 
