@@ -12,6 +12,13 @@
 //! - `... -- --test` — smoke mode: one tiny point (m = 2^10, 64
 //!   queries), correctness assertions only; seconds, not minutes. CI
 //!   runs this on every push.
+//!
+//! Every run, smoke or full, first checks one tiny Privelet⁺ release
+//! (identity × nominal × Haar, 384 cells), the schema shape where every
+//! storage domain is read: plan answers must equal online answers bit
+//! for bit (value and std-dev), and each must lie within
+//! `1e-9·max(1, |total|)` of a dense `PrefixSums` oracle over the
+//! release's `inverse_refined` reconstruction.
 //! - `... -- --record <path>` — additionally writes the measured points
 //!   as JSON (the `BENCH_plan_throughput.json` before/after ledger is
 //!   assembled from two such runs).
@@ -26,9 +33,10 @@ use privelet::mechanism::{publish_coefficients, PriveletConfig};
 use privelet_bench::json::Json;
 use privelet_data::schema::{Attribute, Schema};
 use privelet_data::FrequencyMatrix;
-use privelet_matrix::NdMatrix;
+use privelet_hierarchy::builder::three_level;
+use privelet_matrix::{NdMatrix, PrefixSums};
 use privelet_query::{generate_workload, ConcurrentEngine, RangeQuery, WorkloadConfig};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -67,6 +75,60 @@ fn workload_for(schema: &Schema, n_queries: usize) -> Vec<RangeQuery> {
         },
     )
     .unwrap()
+}
+
+/// The mixed Privelet⁺ gate: an identity axis (age, 6 values in SA), a
+/// nominal axis (8 leaves in 2 groups) and a Haar axis (8 values) — 384
+/// cells, so every storage domain is read. Asserts plan == online bitwise
+/// and every answer within `1e-9·max(1, |total|)` of the dense oracle.
+fn check_mixed_release() -> usize {
+    let schema = Schema::new(vec![
+        Attribute::ordinal("age", 6),
+        Attribute::nominal("occupation", three_level(8, 2).unwrap()),
+        Attribute::ordinal("income", 8),
+    ])
+    .unwrap();
+    let n = schema.cell_count();
+    let data: Vec<f64> = (0..n).map(|i| ((i * 37) % 23) as f64).collect();
+    let fm = FrequencyMatrix::from_parts(
+        schema.clone(),
+        NdMatrix::from_vec(&schema.dims(), data).unwrap(),
+    )
+    .unwrap();
+    let cfg = PriveletConfig::plus(1.0, BTreeSet::from([0]), 11);
+    let out = publish_coefficients(&fm, &cfg).unwrap();
+    let engine = ConcurrentEngine::from_output(&out).unwrap();
+    let queries = generate_workload(
+        &schema,
+        &WorkloadConfig {
+            n_queries: 256,
+            min_predicates: 1,
+            max_predicates: 3,
+            seed: 5,
+        },
+    )
+    .unwrap();
+    let oracle = PrefixSums::build(&out.transform.inverse_refined(&out.coefficients).unwrap());
+    let tol = 1e-9 * engine.total().abs().max(1.0);
+    let plan = engine.plan(&queries).unwrap();
+    let batch = engine.answer_plan_with_error(&plan).unwrap();
+    assert_eq!(batch.len(), queries.len());
+    for (q, got) in queries.iter().zip(&batch) {
+        let want = engine.answer_with_error(q).unwrap();
+        assert_eq!(
+            (got.value.to_bits(), got.std_dev.to_bits()),
+            (want.value.to_bits(), want.std_dev.to_bits()),
+            "mixed release, plan vs online: {got:?} vs {want:?}"
+        );
+        let (lo, hi) = q.bounds(&schema).unwrap();
+        let dense = oracle.rect_sum(&lo, &hi).unwrap();
+        assert!(
+            (got.value - dense).abs() <= tol,
+            "mixed release, plan {} vs dense {dense} on {q:?}",
+            got.value
+        );
+    }
+    queries.len()
 }
 
 /// Best-of timing: repeat `f` until ≥`budget_secs` of wall time has
@@ -150,6 +212,9 @@ fn main() {
         &[(14, 1024), (18, 64), (18, 1024), (20, 1024)]
     };
     let budget = if smoke { 0.02 } else { 0.5 };
+
+    let checked = check_mixed_release();
+    println!("mixed Privelet+ release: {checked} queries, plan == online == dense");
 
     let mut points = Vec::new();
     println!(

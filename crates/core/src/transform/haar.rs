@@ -15,7 +15,7 @@
 //! sensitivity `1 + log₂ m` (Lemma 2) and per-query noise variance at most
 //! `(2 + log₂ m)/2 · σ²` (Lemma 3).
 
-use super::transform1d::Transform1d;
+use super::transform1d::{StorageMap, Transform1d};
 
 /// The 1-D Haar transform for an ordinal dimension of `input_len` values,
 /// zero-padded to `padded_len = 2^l`.
@@ -187,6 +187,18 @@ impl Transform1d for HaarTransform {
             }
         }
         out
+    }
+
+    /// Haar stores its coefficients: a range already reads O(log m) of
+    /// them, and an inverse-plus-prefix stage would cost more to build
+    /// than it saves in answering (`docs/architecture.md`).
+    fn storage_map(&self) -> StorageMap {
+        StorageMap::Coefficients
+    }
+
+    /// The coefficient support itself.
+    fn storage_support(&self, lo: usize, hi: usize) -> Vec<(usize, f64)> {
+        self.query_weights(lo, hi)
     }
 
     fn leaf_slot(&self, pos: usize) -> usize {

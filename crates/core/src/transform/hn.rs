@@ -20,10 +20,10 @@
 //! refinement applied to each lane right before that axis is inverted —
 //! footnote 2 of §VI-B).
 
-use super::{DimTransform, Transform1d};
+use super::{DimTransform, StorageMap, Transform1d};
 use crate::{CoreError, Result};
 use privelet_data::schema::Schema;
-use privelet_matrix::{AxisStage, LaneExecutor, LaneKernel, NdMatrix};
+use privelet_matrix::{accumulate_axis, AxisStage, LaneExecutor, LaneKernel, NdMatrix};
 use std::collections::BTreeSet;
 
 /// Lane kernel running one dimension's forward transform.
@@ -80,11 +80,11 @@ impl LaneKernel for InverseKernel<'_> {
     }
 }
 
-/// Lane kernel applying one dimension's refinement in place (same lane
-/// length in and out); used by the standalone coefficient-refinement pass.
-struct RefineKernel<'a>(&'a DimTransform);
+/// Lane kernel running one dimension's [`StorageMap::Lanes`] map (same
+/// lane length in and out); used by the storage build.
+struct StoreKernel<'a>(&'a DimTransform);
 
-impl LaneKernel for RefineKernel<'_> {
+impl LaneKernel for StoreKernel<'_> {
     fn input_len(&self) -> usize {
         self.0.output_len()
     }
@@ -96,7 +96,7 @@ impl LaneKernel for RefineKernel<'_> {
     }
     fn apply(&self, src: &[f64], dst: &mut [f64], _scratch: &mut [f64]) {
         dst.copy_from_slice(src);
-        self.0.refine(dst);
+        self.0.store_lane(dst);
     }
 }
 
@@ -283,55 +283,57 @@ impl HnTransform {
         exec.run(c, &stages).map_err(CoreError::Matrix)
     }
 
-    /// Applies every dimension's refinement (the §V-B mean subtraction on
-    /// nominal axes) to a coefficient matrix without inverting it, on a
-    /// throwaway executor. See
-    /// [`refine_coefficients_with`](Self::refine_coefficients_with).
-    pub fn refine_coefficients(&self, c: &NdMatrix) -> Result<NdMatrix> {
-        self.refine_coefficients_with(&mut LaneExecutor::new(), c)
-    }
-
-    /// [`refine_coefficients`](Self::refine_coefficients) on a
-    /// caller-provided executor.
+    /// Builds the answer-ready storage of a (noisy) coefficient matrix:
+    /// every axis's [`storage_map`](Transform1d::storage_map) applied
+    /// along that axis. [`StorageMap::Lanes`] axes (nominal: the §V-B
+    /// mean subtraction fused with subtree sums) run as one lane-engine
+    /// pipeline on a throwaway executor, which writes the result matrix;
+    /// [`StorageMap::PrefixSums`] axes (identity) then accumulate in
+    /// place ([`accumulate_axis`]); [`StorageMap::Coefficients`] axes
+    /// (Haar) are left as they are. The storage has the coefficient
+    /// matrix's shape, and exactly one matrix is allocated.
     ///
-    /// Because the per-axis transforms are linear maps on disjoint axes,
-    /// refining every nominal lane up front and then running the plain
-    /// [`inverse`](Self::inverse) is equivalent to
-    /// [`inverse_refined`](Self::inverse_refined) (to floating-point
-    /// rounding). This is the publish-side step of coefficient-domain
-    /// query answering: a noisy coefficient matrix refined once can be
-    /// served directly via [`query_supports`](Self::query_supports)
-    /// without ever reconstructing the m-cell matrix. The refinement is
-    /// idempotent, and a no-op (one copy) when no axis has one.
-    pub fn refine_coefficients_with(
-        &self,
-        exec: &mut LaneExecutor,
-        c: &NdMatrix,
-    ) -> Result<NdMatrix> {
+    /// The maps are linear and act on disjoint axes, so the rectangle
+    /// sum over [`inverse_refined`](Self::inverse_refined) equals the
+    /// sparse tensor-product dot of the per-axis
+    /// [`storage_support`](Transform1d::storage_support)s against the
+    /// storage (to floating-point rounding). Storage is a pure function
+    /// of the coefficients and the transform. It is not idempotent:
+    /// build it once, from coefficients.
+    pub fn build_storage(&self, c: &NdMatrix) -> Result<NdMatrix> {
         if c.dims() != self.output_dims() {
             return Err(CoreError::ShapeMismatch {
                 expected: self.output_dims(),
                 got: c.dims().to_vec(),
             });
         }
-        let kernels: Vec<(usize, RefineKernel<'_>)> = self
+        let kernels: Vec<(usize, StoreKernel<'_>)> = self
             .transforms
             .iter()
             .enumerate()
-            .filter(|(_, t)| t.has_refinement())
-            .map(|(axis, t)| (axis, RefineKernel(t)))
+            .filter(|(_, t)| t.storage_map() == StorageMap::Lanes)
+            .map(|(axis, t)| (axis, StoreKernel(t)))
             .collect();
-        if kernels.is_empty() {
-            return Ok(c.clone());
+        let mut storage = if kernels.is_empty() {
+            c.clone()
+        } else {
+            let stages: Vec<AxisStage<'_>> = kernels
+                .iter()
+                .map(|(axis, kernel)| AxisStage {
+                    axis: *axis,
+                    kernel,
+                })
+                .collect();
+            LaneExecutor::new()
+                .run(c, &stages)
+                .map_err(CoreError::Matrix)?
+        };
+        for (axis, t) in self.transforms.iter().enumerate() {
+            if t.storage_map() == StorageMap::PrefixSums {
+                accumulate_axis(&mut storage, axis);
+            }
         }
-        let stages: Vec<AxisStage<'_>> = kernels
-            .iter()
-            .map(|(axis, kernel)| AxisStage {
-                axis: *axis,
-                kernel,
-            })
-            .collect();
-        exec.run(c, &stages).map_err(CoreError::Matrix)
+        Ok(storage)
     }
 
     /// Per-dimension sparse supports of the hyper-rectangle-sum functional
@@ -342,7 +344,7 @@ impl HnTransform {
     /// Because the HN transform is the tensor product of its per-dimension
     /// transforms, the rectangle sum over the reconstruction equals the
     /// sparse tensor-product dot `Σ ∏ᵢ wᵢ[kᵢ] · C[k₁,…,k_d]` over the
-    /// (refined) coefficient matrix — `∏ᵢ supportᵢ` terms, which for
+    /// coefficient matrix — `∏ᵢ supportᵢ` terms, which for
     /// all-Haar schemas is O(∏ᵢ log mᵢ) instead of the O(m) of
     /// reconstruct-then-sum. Bounds must satisfy `loᵢ ≤ hiᵢ <
     /// input_len(i)`; wrong arity or out-of-range intervals are rejected
@@ -385,6 +387,25 @@ impl HnTransform {
         lo: usize,
         hi: usize,
     ) -> Result<Vec<(usize, f64)>> {
+        Ok(self.checked_dim(axis, lo, hi)?.query_weights(lo, hi))
+    }
+
+    /// [`query_weights_for_dim`](Self::query_weights_for_dim) in the
+    /// storage domain: dimension `axis`'s
+    /// [`storage_support`](Transform1d::storage_support) over `[lo, hi]`,
+    /// validated the same way (`Err`, never a panic).
+    pub fn storage_support_for_dim(
+        &self,
+        axis: usize,
+        lo: usize,
+        hi: usize,
+    ) -> Result<Vec<(usize, f64)>> {
+        Ok(self.checked_dim(axis, lo, hi)?.storage_support(lo, hi))
+    }
+
+    /// Dimension `axis`'s transform, once `axis` and `lo ≤ hi <
+    /// input_len` are checked.
+    fn checked_dim(&self, axis: usize, lo: usize, hi: usize) -> Result<&DimTransform> {
         let t = self.transforms.get(axis).ok_or(CoreError::BadAxis {
             axis,
             ndim: self.ndim(),
@@ -397,7 +418,7 @@ impl HnTransform {
                 len: t.input_len(),
             });
         }
-        Ok(t.query_weights(lo, hi))
+        Ok(t)
     }
 
     /// Visits every coefficient cell of the output matrix in row-major
@@ -569,10 +590,14 @@ mod tests {
     }
 
     #[test]
-    fn refine_then_plain_inverse_matches_inverse_refined() {
-        let (_, hn) = mixed_transform();
+    fn storage_supports_sum_rectangles_of_inverse_refined() {
+        // Every storage map at once: identity (age), nominal (gender,
+        // occ) and Haar (income).
+        let (schema, _) = mixed_transform();
+        let hn = HnTransform::for_schema(&schema, &BTreeSet::from([0])).unwrap();
         let n: usize = hn.output_dims().iter().product();
-        // Arbitrary (noisy-like) coefficients, NOT a forward image.
+        // Arbitrary (noisy-like) coefficients, NOT a forward image: the
+        // nominal sibling groups do not sum to zero before refinement.
         let c = NdMatrix::from_vec(
             &hn.output_dims(),
             (0..n)
@@ -580,32 +605,52 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let refined = hn.refine_coefficients(&c).unwrap();
-        let via_refined_coeffs = hn.inverse(&refined).unwrap();
-        let via_inverse_refined = hn.inverse_refined(&c).unwrap();
-        for (a, b) in via_refined_coeffs
-            .as_slice()
-            .iter()
-            .zip(via_inverse_refined.as_slice())
-        {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        let storage = hn.build_storage(&c).unwrap();
+        assert_eq!(storage.dims(), c.dims());
+        let dense = hn.inverse_refined(&c).unwrap();
+        let strides = storage.shape().strides().to_vec();
+        for (lo, hi) in [
+            (vec![0, 0, 0, 0], vec![4, 1, 5, 3]),
+            (vec![1, 0, 2, 1], vec![3, 0, 4, 2]),
+            (vec![4, 1, 5, 3], vec![4, 1, 5, 3]),
+            (vec![0, 1, 1, 0], vec![2, 1, 3, 1]),
+        ] {
+            let mut acc = vec![(0usize, 1.0f64)];
+            for axis in 0..hn.ndim() {
+                let support = hn
+                    .storage_support_for_dim(axis, lo[axis], hi[axis])
+                    .unwrap();
+                let stride = strides[axis];
+                acc = acc
+                    .iter()
+                    .flat_map(|&(base, w)| {
+                        support
+                            .iter()
+                            .map(move |&(k, wk)| (base + k * stride, w * wk))
+                    })
+                    .collect();
+            }
+            let sparse: f64 = acc.iter().map(|&(i, w)| w * storage.as_slice()[i]).sum();
+            let direct = privelet_matrix::rect_sum_naive(&dense, &lo, &hi).unwrap();
+            assert!(
+                (direct - sparse).abs() < 1e-9,
+                "rect {lo:?}..{hi:?}: {direct} vs {sparse}"
+            );
         }
-        // Idempotent: refining again changes nothing (groups already sum
-        // to zero).
-        let twice = hn.refine_coefficients(&refined).unwrap();
-        for (a, b) in refined.as_slice().iter().zip(twice.as_slice()) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        assert!(matches!(
+            hn.build_storage(&NdMatrix::zeros(&[8, 3, 9, 5]).unwrap()),
+            Err(CoreError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]
-    fn refine_is_copy_when_no_axis_refines() {
+    fn storage_is_a_copy_when_every_axis_stores_coefficients() {
         let schema =
             Schema::new(vec![Attribute::ordinal("a", 4), Attribute::ordinal("b", 3)]).unwrap();
         let hn = HnTransform::for_schema(&schema, &BTreeSet::new()).unwrap();
         let c = NdMatrix::from_vec(&hn.output_dims(), (0..16).map(|i| i as f64).collect()).unwrap();
-        let refined = hn.refine_coefficients(&c).unwrap();
-        assert_eq!(refined.as_slice(), c.as_slice());
+        let storage = hn.build_storage(&c).unwrap();
+        assert_eq!(storage.as_slice(), c.as_slice());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the workspace root). The identity transform has generalized sensitivity
 //! `P(A) = 1` and per-query variance factor `H(A) = |A|` (Corollary 1).
 
-use super::transform1d::Transform1d;
+use super::transform1d::{StorageMap, Transform1d};
 
 /// Identity transform over a domain of `len` values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +72,26 @@ impl Transform1d for IdentityTransform {
             self.len
         );
         (lo..=hi).map(|i| (i, 1.0)).collect()
+    }
+
+    /// Inclusive prefix sums along the axis, so a range costs two reads
+    /// whatever its width.
+    fn storage_map(&self) -> StorageMap {
+        StorageMap::PrefixSums
+    }
+
+    /// `S[hi] − S[lo − 1]`: `{(lo−1, −1), (hi, +1)}`, or just
+    /// `{(hi, +1)}` when the interval starts at 0.
+    fn storage_support(&self, lo: usize, hi: usize) -> Vec<(usize, f64)> {
+        assert!(
+            lo <= hi && hi < self.len,
+            "interval [{lo}, {hi}] out of range for domain of {}",
+            self.len
+        );
+        match lo.checked_sub(1) {
+            Some(before) => vec![(before, -1.0), (hi, 1.0)],
+            None => vec![(hi, 1.0)],
+        }
     }
 
     fn leaf_slot(&self, pos: usize) -> usize {

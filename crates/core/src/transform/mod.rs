@@ -23,7 +23,7 @@ pub use haar::HaarTransform;
 pub use hn::HnTransform;
 pub use identity::IdentityTransform;
 pub use nominal::NominalTransform;
-pub use transform1d::Transform1d;
+pub use transform1d::{StorageMap, Transform1d};
 
 use privelet_data::schema::{Attribute, Domain};
 
@@ -115,6 +115,19 @@ impl Transform1d for DimTransform {
 
     fn query_weights(&self, lo: usize, hi: usize) -> Vec<(usize, f64)> {
         self.as_transform().query_weights(lo, hi)
+    }
+
+    fn storage_map(&self) -> StorageMap {
+        self.as_transform().storage_map()
+    }
+
+    #[inline]
+    fn store_lane(&self, lane: &mut [f64]) {
+        self.as_transform().store_lane(lane)
+    }
+
+    fn storage_support(&self, lo: usize, hi: usize) -> Vec<(usize, f64)> {
+        self.as_transform().storage_support(lo, hi)
     }
 
     fn leaf_slot(&self, pos: usize) -> usize {

@@ -26,7 +26,7 @@
 //! and after it every range-count query carries noise variance `< 4σ²`
 //! (Lemma 5).
 
-use super::transform1d::Transform1d;
+use super::transform1d::{StorageMap, Transform1d};
 use privelet_hierarchy::Hierarchy;
 use std::sync::Arc;
 
@@ -192,6 +192,73 @@ impl Transform1d for NominalTransform {
             }
         }
         out.reverse();
+        out
+    }
+
+    /// Per-node subtree sums in level order, built lane by lane by
+    /// [`store_lane`](Transform1d::store_lane).
+    fn storage_map(&self) -> StorageMap {
+        StorageMap::Lanes
+    }
+
+    /// The mean subtraction (§V-B) fused with the Equation-5 top-down
+    /// pass: each node's slot becomes its reconstructed leaf-sum
+    /// `ls(v) = c̃(v) + ls(parent)/fanout(parent)` of the refined
+    /// coefficients `c̃`. Refined sibling groups sum to zero, so the
+    /// children's leaf-sums add up to their parent's: `ls(v)` is exactly
+    /// the sum of `v`'s reconstructed leaves. Level order visits a parent
+    /// before its children, so one in-place pass suffices; each group is
+    /// refined with [`mean_subtract`](NominalTransform::mean_subtract)'s
+    /// expressions and summed with [`inverse`](Transform1d::inverse)'s.
+    fn store_lane(&self, lane: &mut [f64]) {
+        let h = &self.hierarchy;
+        debug_assert_eq!(lane.len(), h.node_count());
+        for &p in h.level_order() {
+            let group = h.children(p);
+            if group.is_empty() {
+                continue;
+            }
+            let f = group.len() as f64;
+            let mean = group
+                .iter()
+                .map(|&id| lane[h.level_order_pos(id)])
+                .sum::<f64>()
+                / f;
+            let share = lane[h.level_order_pos(p)] / f;
+            for &id in group {
+                let pos = h.level_order_pos(id);
+                lane[pos] = (lane[pos] - mean) + share;
+            }
+        }
+    }
+
+    /// The maximal subtrees covering `[lo, hi]`, weight 1 each, by
+    /// ascending level-order position. Leaf ranges nest, so a greedy
+    /// left-to-right walk finds them: from the first uncovered leaf,
+    /// climb while the parent's leaves stay inside the interval. A
+    /// subtree (a `Node` predicate, or the root for `All`) is one entry.
+    fn storage_support(&self, lo: usize, hi: usize) -> Vec<(usize, f64)> {
+        let h = &self.hierarchy;
+        assert!(
+            lo <= hi && hi < h.leaf_count(),
+            "interval [{lo}, {hi}] out of range for domain of {}",
+            h.leaf_count()
+        );
+        let mut out = Vec::new();
+        let mut next = lo;
+        while next <= hi {
+            let mut node = h.leaf_node(next);
+            while let Some(p) = h.parent(node) {
+                let (p_lo, p_hi) = h.leaf_range(p);
+                if p_lo < lo || p_hi > hi {
+                    break;
+                }
+                node = p;
+            }
+            out.push((h.level_order_pos(node), 1.0));
+            next = h.leaf_range(node).1 + 1;
+        }
+        out.sort_unstable_by_key(|&(pos, _)| pos);
         out
     }
 

@@ -28,6 +28,22 @@
 //! [`input_len`]: Transform1d::input_len
 //! [`output_len`]: Transform1d::output_len
 
+/// How one axis stores its coefficients for answering (see
+/// [`Transform1d::storage_map`]). Every map is linear and acts along
+/// its own axis only, so the per-axis maps compose into the
+/// multi-dimensional storage in any order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StorageMap {
+    /// The coefficients as they are: nothing to build (Haar).
+    Coefficients,
+    /// Inclusive prefix sums along the axis, accumulated in place over
+    /// the whole matrix (identity).
+    PrefixSums,
+    /// Every lane mapped by [`Transform1d::store_lane`], run as one lane
+    /// stage (nominal).
+    Lanes,
+}
+
 /// A 1-D wavelet (or pass-through) transform along one dimension.
 ///
 /// Implementations must be pure: two calls with the same inputs write the
@@ -94,11 +110,43 @@ pub trait Transform1d: Sync {
     /// answering rests on this method.
     ///
     /// For transforms with a refinement step ([`refine`](Self::refine)),
-    /// the identity is stated against the plain `inverse`; callers serving
-    /// noisy coefficients must refine them once beforehand (the
-    /// refinement is idempotent, so refining already-refined or exact
-    /// coefficients is harmless).
+    /// the identity is stated against the plain `inverse`. Serving does
+    /// not dot against coefficients at all: it reads the answer-ready
+    /// storage through [`storage_support`](Self::storage_support). This
+    /// support remains the source of the noise accounting
+    /// ([`support_variance_factor`](Self::support_variance_factor)).
     fn query_weights(&self, lo: usize, hi: usize) -> Vec<(usize, f64)>;
+
+    /// How this axis lays out its answer-ready storage: the linear map
+    /// that turns a lane of (noisy) coefficients into values a range
+    /// query reads a handful of — the coefficients themselves (Haar),
+    /// inclusive prefix sums (identity), or a per-lane map run by
+    /// [`store_lane`](Self::store_lane) (nominal: refined subtree sums).
+    ///
+    /// Deliberately **not** defaulted (like
+    /// [`has_refinement`](Self::has_refinement)): a transform overriding
+    /// `store_lane` while inheriting a map that skips it would silently
+    /// serve from the wrong domain.
+    fn storage_map(&self) -> StorageMap;
+
+    /// The [`StorageMap::Lanes`] map of one coefficient lane, in place.
+    /// A no-op for every other map, which never calls it.
+    fn store_lane(&self, _lane: &mut [f64]) {}
+
+    /// Sparse support of the interval-sum functional over `[lo, hi]`
+    /// (inclusive, over the domain) in the **storage** domain of
+    /// [`storage_map`](Self::storage_map): `(storage index, weight)`
+    /// pairs with strictly ascending indices and nonzero weights such
+    /// that `Σ_k w_k·S[k] = Σ_{x ∈ [lo, hi]} inverse(refine(c))[x]`,
+    /// where `S` is the storage built from coefficients `c`. This is
+    /// what an answer reads: [`query_weights`](Self::query_weights) for
+    /// Haar (O(log m)), `{(lo−1, −1), (hi, +1)}` for identity (at most
+    /// 2), and one unit entry per maximal covered subtree for nominal
+    /// (1 for a whole subtree).
+    ///
+    /// Deliberately **not** defaulted: it must match the transform's own
+    /// storage map.
+    fn storage_support(&self, lo: usize, hi: usize) -> Vec<(usize, f64)>;
 
     /// The state slot holding input position `pos` (`pos < input_len()`)
     /// after [`forward`](Self::forward): `m + pos` for Haar, the leaf's

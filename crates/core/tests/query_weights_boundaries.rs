@@ -5,9 +5,15 @@
 //! `Σ_k w_k·c_k == Σ_{x∈[lo,hi]} inverse(c)[x]` on an arbitrary
 //! coefficient vector, and Haar supports are checked against the
 //! documented `2·log₂(m) + 1` size bound (m = the padded power of two).
+//! Storage-domain supports (`Transform1d::storage_support`) get the same
+//! pins against the storage `HnTransform::build_storage` builds, on every
+//! interval.
 
-use privelet::transform::{HaarTransform, IdentityTransform, NominalTransform, Transform1d};
-use privelet_hierarchy::builder::{flat, three_level};
+use privelet::transform::{
+    DimTransform, HaarTransform, HnTransform, IdentityTransform, NominalTransform, Transform1d,
+};
+use privelet_hierarchy::builder::{flat, random, three_level};
+use privelet_matrix::NdMatrix;
 use std::sync::Arc;
 
 /// A deterministic "noisy-looking" coefficient vector.
@@ -130,4 +136,80 @@ fn nominal_single_leaf_domain_is_the_root() {
     assert_eq!(t.output_len(), 1);
     assert_eq!(t.query_weights(0, 0), vec![(0, 1.0)]);
     assert_eq!(check_support(&t, 0, 0), 1);
+}
+
+/// Asserts, for every interval of a one-dimensional release, that the
+/// storage support has strictly ascending in-range indices and nonzero
+/// weights, and that its dot with the storage equals the interval sum of
+/// `inverse_refined` (to 1e-9). Returns the largest support.
+fn check_storage_supports(t: DimTransform) -> usize {
+    let n = t.input_len();
+    let hn = HnTransform::new(vec![t.clone()]).unwrap();
+    let c = NdMatrix::from_vec(&[t.output_len()], coeff_vector(t.output_len())).unwrap();
+    let storage = hn.build_storage(&c).unwrap();
+    let dense = hn.inverse_refined(&c).unwrap();
+    let mut widest = 0;
+    for lo in 0..n {
+        for hi in lo..n {
+            let support = t.storage_support(lo, hi);
+            for window in support.windows(2) {
+                assert!(window[0].0 < window[1].0, "storage indices must ascend");
+            }
+            for &(k, w) in &support {
+                assert!(k < t.output_len(), "index {k} out of storage range");
+                assert!(w != 0.0, "zero weights must be dropped");
+            }
+            let direct: f64 = dense.as_slice()[lo..=hi].iter().sum();
+            let sparse: f64 = support
+                .iter()
+                .map(|&(k, w)| w * storage.as_slice()[k])
+                .sum();
+            assert!(
+                (direct - sparse).abs() < 1e-9,
+                "{} [{lo},{hi}]: {direct} vs {sparse}",
+                t.kind()
+            );
+            widest = widest.max(support.len());
+        }
+    }
+    widest
+}
+
+#[test]
+fn storage_supports_ascend_and_sum_every_interval() {
+    for m in [1usize, 2, 3, 5, 8, 13] {
+        let haar = HaarTransform::new(m);
+        let bound = 2 * haar.levels() as usize + 1;
+        assert!(check_storage_supports(DimTransform::Haar(haar)) <= bound);
+    }
+    for m in [1usize, 2, 7, 16] {
+        let widest = check_storage_supports(DimTransform::Identity(IdentityTransform::new(m)));
+        assert!(widest <= 2, "identity reads at most two prefix sums");
+    }
+    for h in [
+        three_level(12, 4).unwrap(),
+        flat(6).unwrap(),
+        flat(1).unwrap(),
+        random(11, 4, 7).unwrap(),
+    ] {
+        let h = Arc::new(h);
+        let t = NominalTransform::new(h.clone());
+        for id in h.node_ids() {
+            let (lo, hi) = h.leaf_range(id);
+            assert_eq!(
+                t.storage_support(lo, hi),
+                vec![(h.level_order_pos(id), 1.0)],
+                "a subtree is one read: its own subtree sum"
+            );
+        }
+        check_storage_supports(DimTransform::Nominal(t));
+    }
+}
+
+#[test]
+fn identity_storage_support_is_two_prefix_sums() {
+    let t = IdentityTransform::new(5);
+    assert_eq!(t.storage_support(0, 3), vec![(3, 1.0)]);
+    assert_eq!(t.storage_support(2, 4), vec![(1, -1.0), (4, 1.0)]);
+    assert_eq!(t.storage_support(4, 4), vec![(3, -1.0), (4, 1.0)]);
 }

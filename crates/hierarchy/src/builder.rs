@@ -95,7 +95,7 @@ impl Spec {
 pub fn flat(leaves: usize) -> Result<Hierarchy> {
     match leaves {
         0 => Err(HierarchyError::ZeroSize),
-        1 => Ok(Spec::leaf("v0").build().expect("single leaf is valid")),
+        1 => Spec::leaf("v0").build(),
         _ => Spec::internal(
             "root",
             (0..leaves).map(|i| Spec::leaf(format!("v{i}"))).collect(),

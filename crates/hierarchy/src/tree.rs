@@ -66,18 +66,22 @@ impl Hierarchy {
         let mut leaf_nodes = Vec::new();
         let mut stack = vec![(0usize, false)];
         while let Some((id, processed)) = stack.pop() {
-            if children[id].is_empty() {
-                let pos = leaf_nodes.len();
-                leaf_lo[id] = pos;
-                leaf_hi[id] = pos;
-                leaf_nodes.push(id);
-            } else if processed {
-                leaf_lo[id] = leaf_lo[children[id][0]];
-                leaf_hi[id] = leaf_hi[*children[id].last().expect("internal has children")];
-            } else {
-                stack.push((id, true));
-                for &c in children[id].iter().rev() {
-                    stack.push((c, false));
+            match (children[id].first(), children[id].last()) {
+                (Some(&first), Some(&last)) if processed => {
+                    leaf_lo[id] = leaf_lo[first];
+                    leaf_hi[id] = leaf_hi[last];
+                }
+                (Some(_), _) => {
+                    stack.push((id, true));
+                    for &c in children[id].iter().rev() {
+                        stack.push((c, false));
+                    }
+                }
+                _ => {
+                    let pos = leaf_nodes.len();
+                    leaf_lo[id] = pos;
+                    leaf_hi[id] = pos;
+                    leaf_nodes.push(id);
                 }
             }
         }

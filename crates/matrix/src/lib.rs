@@ -34,7 +34,7 @@ pub mod view;
 
 pub use executor::{AxisStage, LaneExecutor, LaneKernel};
 pub use ndmatrix::NdMatrix;
-pub use prefix::PrefixSums;
+pub use prefix::{accumulate_axis, PrefixSums};
 pub use shape::{CoordIter, Shape};
 pub use slice::{fix_axes, marginalize};
 pub use view::{rect_sum_naive, RectIter};

@@ -21,31 +21,18 @@ pub struct PrefixSums {
 }
 
 impl PrefixSums {
-    /// Builds prefix sums for `m`.
+    /// Builds prefix sums for `m`: one [`accumulate_axis`] pass per axis.
     pub fn build(m: &NdMatrix) -> Self {
-        let shape = m.shape().clone();
-        let mut data = m.as_slice().to_vec();
-        let dims = shape.dims().to_vec();
-        // Accumulate along each axis in turn: after processing axis k, data
-        // holds prefix sums over axes 0..=k.
-        for (axis, &len) in dims.iter().enumerate() {
-            if len == 1 {
-                continue;
-            }
-            let inner: usize = dims[axis + 1..].iter().product();
-            let outer: usize = dims[..axis].iter().product();
-            for o in 0..outer {
-                let base = o * len * inner;
-                for j in 1..len {
-                    let (prev_part, cur_part) =
-                        data[base + (j - 1) * inner..base + (j + 1) * inner].split_at_mut(inner);
-                    for i in 0..inner {
-                        cur_part[i] += prev_part[i];
-                    }
-                }
-            }
+        let mut acc = m.clone();
+        // After the pass over axis k, `acc` holds prefix sums over axes
+        // 0..=k.
+        for axis in 0..acc.ndim() {
+            accumulate_axis(&mut acc, axis);
         }
-        PrefixSums { shape, data }
+        PrefixSums {
+            shape: acc.shape().clone(),
+            data: acc.into_vec(),
+        }
     }
 
     /// The underlying shape.
@@ -106,6 +93,33 @@ impl PrefixSums {
     /// shape always has at least one cell, so there always is one).
     pub fn total(&self) -> f64 {
         self.data.last().copied().unwrap_or(0.0)
+    }
+}
+
+/// Accumulates `m` in place into inclusive prefix sums along `axis`:
+/// afterwards `m[…, j, …] = Σ_{i ≤ j} m_old[…, i, …]` on that axis, every
+/// other axis untouched. Row-major `[outer, axis, inner]` walk: each
+/// position adds the whole contiguous `inner`-wide row before it, so the
+/// loop streams forward through memory. An `axis` out of range leaves
+/// `m` untouched.
+///
+/// This is the one accumulate loop of the workspace: [`PrefixSums::build`]
+/// runs it once per axis, and answer-ready release storage runs it on
+/// the axes it stores as prefix sums.
+pub fn accumulate_axis(m: &mut NdMatrix, axis: usize) {
+    let dims = m.dims();
+    let Some(&len) = dims.get(axis) else {
+        return;
+    };
+    let inner: usize = dims[axis + 1..].iter().product();
+    let data = m.as_mut_slice();
+    for block in data.chunks_exact_mut(len * inner) {
+        for j in 1..len {
+            let (prev, cur) = block[(j - 1) * inner..(j + 1) * inner].split_at_mut(inner);
+            for (c, p) in cur.iter_mut().zip(prev.iter()) {
+                *c += *p;
+            }
+        }
     }
 }
 
@@ -193,6 +207,19 @@ mod tests {
             );
             assert_eq!(p.total(), 5.0);
         }
+    }
+
+    #[test]
+    fn accumulate_axis_sums_along_one_axis_only() {
+        let mut m = iota(&[2, 3]); // [[0, 1, 2], [3, 4, 5]]
+        accumulate_axis(&mut m, 1);
+        assert_eq!(m.as_slice(), &[0.0, 1.0, 3.0, 3.0, 7.0, 12.0]);
+        let mut m = iota(&[2, 3]);
+        accumulate_axis(&mut m, 0);
+        assert_eq!(m.as_slice(), &[0.0, 1.0, 2.0, 3.0, 5.0, 7.0]);
+        // An axis out of range leaves the matrix untouched.
+        accumulate_axis(&mut m, 2);
+        assert_eq!(m.as_slice(), &[0.0, 1.0, 2.0, 3.0, 5.0, 7.0]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Bounded LRU memoization of per-dimension query supports.
 //!
 //! Every answering path derives each dimension's sparse support with
-//! one function, `derive` (`Transform1d::query_weights`, the variance
-//! factor, the stride premultiply). Online one-query-at-a-time traffic
+//! one function, `derive` (`Transform1d::storage_support`, the variance
+//! factor over `Transform1d::query_weights`, the stride premultiply). Online one-query-at-a-time traffic
 //! would re-derive on every request, even though OLAP traffic repeats
 //! the same predicate intervals dimension after dimension.
 //! [`ShardedSupportCache`] memoizes supports keyed on `(dim, lo, hi)` so
@@ -12,11 +12,11 @@
 //!
 //! The cache is bounded (least-recently-used eviction) and counts hits,
 //! misses and evictions, so serving tiers can report hit rates and size
-//! the capacity. Each entry holds one dimension's offsets and weights
-//! behind an [`Arc`] — `O(polylog m)` of them on Haar/nominal
-//! dimensions, but up to O(interval length) on identity-transformed
-//! (SA) dimensions, whose supports are the covered cells — so a hit is
-//! one clone of a pointer, never of the support.
+//! the capacity. Each entry holds one dimension's storage offsets and
+//! weights behind an [`Arc`] — O(log m) of them on Haar dimensions, at
+//! most 2 on identity (SA) dimensions and one per maximal covered
+//! subtree on nominal ones — so a hit is one clone of a pointer, never
+//! of the support.
 //!
 //! Keys are spread across a fixed number of independently locked LRU
 //! shards: concurrent lookups of different supports hash to different
@@ -46,17 +46,18 @@ pub type SupportKey = (usize, usize, usize);
 
 /// One dimension's derived query support plus its precomputed noise
 /// accounting: the sparse offsets and weights of the interval-sum
-/// functional, and the per-dimension variance factor
-/// `Σ_j u(j)²/W(j)²` the exact-variance formula consumes
-/// (`Transform1d::support_variance_factor` — an O(|support|) fold done
-/// once at derivation time, so every cached or interned support carries
-/// its error accounting for free).
+/// functional over the release's answer-ready storage
+/// (`Transform1d::storage_support`), and the per-dimension variance
+/// factor `Σ_j u(j)²/W(j)²` the exact-variance formula consumes
+/// (`Transform1d::support_variance_factor` over the coefficient support
+/// — an O(|support|) fold done once at derivation time, so every cached
+/// or interned support carries its error accounting for free).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DimSupport {
-    /// Strictly ascending linear offsets: each is a coefficient index
-    /// along this dimension premultiplied by the dimension's row-major
-    /// stride in the coefficient matrix, so a dot adds it straight to a
-    /// linear base address.
+    /// Strictly ascending linear offsets: each is a storage index along
+    /// this dimension premultiplied by the dimension's row-major stride
+    /// in the storage matrix, so a dot adds it straight to a linear base
+    /// address.
     pub offsets: Vec<usize>,
     /// The strictly nonzero weight of each offset (parallel to
     /// `offsets`).
@@ -65,11 +66,13 @@ pub struct DimSupport {
     pub variance_factor: f64,
 }
 
-/// Derives one dimension's support: the validated interval-sum weights
-/// of `[lo, hi]` on dimension `dim`, their variance factor (folded over
-/// the unscaled coefficient indices), then every index premultiplied by
-/// `strides[dim]`. The one derivation both the online path and plan
-/// compilation run.
+/// Derives one dimension's support: the validated storage-domain
+/// support of `[lo, hi]` on dimension `dim` with every index
+/// premultiplied by `strides[dim]`, and the variance factor, folded over
+/// the transform's own coefficient support
+/// (`Transform1d::query_weights`) — the noise lives on the coefficients,
+/// so the error bars do not depend on how the storage reads them. The
+/// one derivation both the online path and plan compilation run.
 pub(crate) fn derive(
     transform: &HnTransform,
     strides: &[usize],
@@ -77,14 +80,18 @@ pub(crate) fn derive(
     lo: usize,
     hi: usize,
 ) -> Result<DimSupport> {
-    let pairs = transform
+    let coefficient_support = transform
         .query_weights_for_dim(dim, lo, hi)
         .map_err(QueryError::from)?;
-    let variance_factor = transform.transforms()[dim].support_variance_factor(&pairs);
-    let (offsets, weights): (Vec<usize>, Vec<f64>) =
-        pairs.iter().map(|&(k, w)| (k * strides[dim], w)).unzip();
-    // Every transform emits strictly ascending indices (pinned by
-    // `query_weights_boundaries`), so a dot streams forward through
+    let variance_factor = transform.transforms()[dim].support_variance_factor(&coefficient_support);
+    let (offsets, weights): (Vec<usize>, Vec<f64>) = transform
+        .storage_support_for_dim(dim, lo, hi)
+        .map_err(QueryError::from)?
+        .iter()
+        .map(|&(k, w)| (k * strides[dim], w))
+        .unzip();
+    // Every transform emits strictly ascending storage indices (pinned
+    // by `query_weights_boundaries`), so a dot streams forward through
     // memory; the stride premultiply is monotone.
     debug_assert!(offsets.windows(2).all(|p| p[0] < p[1]));
     Ok(DimSupport {
@@ -95,7 +102,7 @@ pub(crate) fn derive(
 }
 
 impl DimSupport {
-    /// Number of support entries (= coefficients one dot along this
+    /// Number of support entries (= storage values one dot along this
     /// dimension reads).
     pub fn len(&self) -> usize {
         self.offsets.len()
@@ -277,13 +284,13 @@ impl ShardedSupportCache {
     /// — all under the key's shard lock, so concurrent requests for the
     /// same key perform exactly one derivation (the losers of the lock
     /// race hit the freshly inserted entry). Requests hashing to other
-    /// shards are unaffected either way. On Haar/nominal dimensions a
-    /// derivation is O(polylog m) — comparable to the LRU touch itself —
-    /// so the derive-once guarantee costs next to nothing; on
-    /// identity-transformed (SA) dimensions a wide predicate derives
-    /// O(interval length) pairs while the shard is locked, which is
-    /// exactly when derive-once matters most: redundant O(m) derivations
-    /// would hurt far more than the wait.
+    /// shards are unaffected either way. On Haar dimensions a derivation
+    /// is O(log m) — comparable to the LRU touch itself — so the
+    /// derive-once guarantee costs next to nothing; on identity (SA) and
+    /// nominal dimensions the variance factor folds the coefficient
+    /// support, O(interval length) for a wide predicate, while the shard
+    /// is locked, which is exactly when derive-once matters most:
+    /// redundant O(m) derivations would hurt far more than the wait.
     ///
     /// Errors from `derive` propagate untouched and insert nothing; the
     /// miss is still counted (every call moves exactly one hit or miss

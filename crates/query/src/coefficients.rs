@@ -1,18 +1,19 @@
-//! Coefficient-domain query answering: O(∏ polylog mᵢ) per query, no
-//! reconstruction, from any number of threads.
+//! Coefficient-domain query answering: a handful of reads per dimension,
+//! no reconstruction, from any number of threads.
 //!
 //! The paper's central structural fact (§IV–§V) is that a range-count
 //! query intersects only O(log m) Haar coefficients per dimension — the
 //! two boundary root-to-leaf paths — so a query can be answered *directly
-//! in the noisy coefficient domain* as a sparse tensor-product dot,
-//! without ever inverting the transform or building O(m) prefix sums.
-//! [`ConcurrentEngine`] is that serving path: an [`Arc`]-shared
-//! immutable [`ReleaseCore`] (refined once at construction, O(m')) plus
-//! an `Arc`-shared [`ShardedSupportCache`] memoizing the online path.
-//! Each `answer` reads `∏ᵢ |supportᵢ|` coefficients.
+//! from the noisy coefficients* as a sparse tensor-product dot, without
+//! ever inverting the transform. [`ConcurrentEngine`] is that serving
+//! path: an [`Arc`]-shared immutable [`ReleaseCore`] (its answer-ready
+//! storage built once at construction, O(m'): Haar coefficients,
+//! identity prefix sums, nominal subtree sums) plus an `Arc`-shared
+//! [`ShardedSupportCache`] memoizing the online path. Each `answer`
+//! reads `∏ᵢ |supportᵢ|` stored values.
 //!
 //! A release is write-once, read-many, so no lock guards the
-//! coefficients (nothing mutates them), and online lookups of different
+//! storage (nothing mutates it), and online lookups of different
 //! supports hash to different cache shards and rarely contend. Cloning
 //! the engine is two `Arc` bumps, so the natural deployment is one clone
 //! per serving thread over one core.
@@ -53,7 +54,8 @@ use privelet_data::schema::Schema;
 use std::sync::Arc;
 
 /// Default bound on the online support cache: each entry holds one
-/// dimension's `O(polylog m)` offsets and weights, so the default
+/// dimension's storage offsets and weights (O(log m) on Haar, at most 2
+/// on identity, one per covered subtree on nominal), so the default
 /// footprint is a few hundred kilobytes at most.
 pub const DEFAULT_SUPPORT_CACHE_CAPACITY: usize = 1024;
 
@@ -72,7 +74,7 @@ pub struct ConcurrentEngine {
 impl ConcurrentEngine {
     /// Wraps a (possibly already shared) release core with a fresh cache
     /// of [`DEFAULT_SUPPORT_CACHE_CAPACITY`] supports. The core's
-    /// one-time work (validation, refinement, total) is not repeated.
+    /// one-time work (validation, storage build, total) is not repeated.
     pub fn new(core: Arc<ReleaseCore>) -> Self {
         ConcurrentEngine {
             core,
@@ -94,7 +96,7 @@ impl ConcurrentEngine {
     /// [`ReleaseCore::advance_epoch`]). The returned engine shares this
     /// engine's cache `Arc`: supports are pure functions of
     /// `(dim, lo, hi)` and the transform, so every warm entry stays valid
-    /// across epochs; only coefficient state rolls with the core. `self`
+    /// across epochs; only the storage rolls with the core. `self`
     /// keeps serving the old epoch, so a serving tier can drain in-flight
     /// traffic on the old engine while new traffic routes to the new one.
     pub fn advance_epoch(&self, out: &CoefficientOutput) -> Result<Self> {
@@ -121,9 +123,10 @@ impl ConcurrentEngine {
     }
 
     /// Answers one range-count query as a sparse tensor-product dot
-    /// against the coefficients: `Σ ∏ᵢ wᵢ[kᵢ] · C[k₁,…,k_d]` over the
-    /// per-dimension supports, `∏ᵢ |supportᵢ|` coefficient reads — for
-    /// all-Haar schemas O(∏ᵢ log mᵢ), versus the O(m) reconstruction the
+    /// against the storage: `Σ ∏ᵢ wᵢ[kᵢ] · S[k₁,…,k_d]` over the
+    /// per-dimension supports, `∏ᵢ |supportᵢ|` reads — O(log mᵢ) on a
+    /// Haar dimension, at most 2 on an identity one, one per covered
+    /// subtree on a nominal one — versus the O(m) reconstruction the
     /// prefix-sum path must pay before its first answer.
     ///
     /// Safe and lock-cheap to call from many threads at once: each
@@ -135,7 +138,7 @@ impl ConcurrentEngine {
         Ok(self.answer_with_support(q)?.0)
     }
 
-    /// [`answer`](Self::answer) plus the number of coefficients the dot
+    /// [`answer`](Self::answer) plus the number of stored values the dot
     /// product read (`∏ᵢ |supportᵢ|`) — one support derivation for both,
     /// for callers that report the per-query cost alongside the value.
     pub fn answer_with_support(&self, q: &RangeQuery) -> Result<(f64, usize)> {
@@ -174,7 +177,7 @@ impl ConcurrentEngine {
         self.core.plan(queries)
     }
 
-    /// Executes a compiled plan against the shared refined coefficients.
+    /// Executes a compiled plan against the shared storage.
     /// Allocates only the output vector; any number of threads may
     /// execute the same plan concurrently, each getting a bit-identical
     /// result.
@@ -621,7 +624,7 @@ mod tests {
     fn cache_counters_conserve_lookups() {
         let (fm, out) = medical_release(37);
         let engine = ConcurrentEngine::new(Arc::new(ReleaseCore::from_output(&out).unwrap()));
-        assert_eq!(engine.core().coefficients().len(), out.coefficient_count());
+        assert_eq!(engine.core().storage().len(), out.coefficient_count());
         let qs = medical_queries(&fm);
         for q in &qs {
             engine.answer(q).unwrap();

@@ -1,7 +1,9 @@
 //! The one sparse-dot arithmetic every answering path runs.
 //!
 //! A range-count answer is the sparse tensor-product dot
-//! `Σ ∏ᵢ wᵢ[kᵢ] · C[k₁,…,k_d]` over each dimension's support. Both the
+//! `Σ ∏ᵢ wᵢ[kᵢ] · S[k₁,…,k_d]` over each dimension's support, against
+//! the release's answer-ready storage `S` (see
+//! [`ReleaseCore`](crate::ReleaseCore)). Both the
 //! online per-query path ([`ReleaseCore::dot`]) and compiled-plan
 //! execution ([`QueryPlan`]) compute it with [`tensor_dot`]: the same
 //! walk over the same layout — parallel slices of stride-premultiplied
@@ -11,10 +13,12 @@
 //! slices live, so their answers are bitwise equal.
 //!
 //! The innermost loop is a gather-multiply-accumulate over one
-//! dimension's support against the flat coefficient slice. Naively that
+//! dimension's support against the flat storage slice. Naively that
 //! loop is a single dependency chain of floating-point adds — each
-//! `acc += w·c[k]` waits ~4 cycles on the previous one, which dominates
-//! a support of ≲40 entries whose gather loads mostly hit cache.
+//! `acc += w·s[k]` waits ~4 cycles on the previous one, which dominates
+//! a Haar support of ≲40 entries whose gather loads mostly hit cache.
+//! (Identity and nominal supports are mostly 1–2 entries, so their
+//! dots are the tail loop.)
 //! [`gather_dot4`] breaks the chain with four independent accumulators
 //! over 4-wide chunks and a deterministic final reduction
 //! `((a0+a1)+(a2+a3)) + tail`.
@@ -34,7 +38,7 @@
 /// measured ~10% slower on `plan_throughput`; see the summation-order
 /// policy in `docs/architecture.md`). The caller guarantees
 /// `base + idx[j]` is in bounds (support derivation validates against
-/// the coefficient shape, so the slice indexing below never faults —
+/// the storage shape, so the slice indexing below never faults —
 /// and stays checked anyway). The reduction order is fixed:
 /// `((a0+a1)+(a2+a3)) + tail`, identical for every call with the same
 /// inputs.
@@ -61,7 +65,7 @@ pub(crate) fn gather_dot4(data: &[f64], base: usize, idx: &[usize], w: &[f64]) -
 }
 
 /// The sparse tensor-product dot of `ndim` per-dimension supports
-/// against the flat coefficient data. `support(d)` returns dimension
+/// against the flat storage data. `support(d)` returns dimension
 /// `d`'s stride-premultiplied offsets and their weights.
 ///
 /// Depth-first over dimensions, accumulating the linear offset and the

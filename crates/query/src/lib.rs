@@ -20,8 +20,10 @@
 //!   coverage and selectivity.
 //! - [`coefficients`] — [`ConcurrentEngine`], the serving engine:
 //!   coefficient-domain answering over a published noisy coefficient
-//!   matrix, O(log m) coefficient reads per dimension instead of an O(m)
-//!   reconstruction before the first query, from any number of threads.
+//!   matrix — O(log m) reads on a Haar dimension, at most 2 on an
+//!   identity one, one per covered subtree on a nominal one — instead of
+//!   an O(m) reconstruction before the first query, from any number of
+//!   threads.
 //! - [`answerer`] — [`Answerer`], the reconstruct-then-prefix-sum path:
 //!   the reference oracle and evaluation baseline.
 //! - [`annotated`] — [`AnnotatedAnswer`]: an answer with its exact noise
@@ -32,8 +34,9 @@
 //!   memoizing per-dimension supports for the online path. Its one
 //!   setting is the capacity; the shard count is a measured constant.
 //! - [`release`] — [`ReleaseCore`]: the immutable `Send + Sync` core of
-//!   one coefficient-domain release, shared across threads via `Arc`,
-//!   and its uncached answering paths (the engine's bitwise oracle).
+//!   one coefficient-domain release (its answer-ready storage), shared
+//!   across threads via `Arc`, and its uncached answering paths (the
+//!   engine's bitwise oracle).
 //! - [`workload`] — the random workload generator of §VII-A (40 000 queries,
 //!   1–4 predicates each).
 //! - [`metrics`] — square error and relative error with the sanity bound

@@ -1,6 +1,15 @@
 //! Compiled batch plans: intern supports once, answer as sparse dots
 //! over one contiguous arena.
 //!
+//! A plan holds storage-domain supports (see
+//! [`ReleaseCore`](crate::ReleaseCore)): at most 2 entries per identity
+//! dimension, one per maximal covered subtree on a nominal dimension,
+//! O(log m) on a Haar dimension. It is compiled from the schema and the
+//! transform alone, so one plan serves every epoch of a release series,
+//! and it runs only through
+//! [`ReleaseCore::execute_plan`](crate::ReleaseCore::execute_plan) — the
+//! supports mean nothing against a plain coefficient matrix.
+//!
 //! `answer`ing a workload query by query re-derives each dimension's
 //! sparse support even when a thousand-query OLAP batch repeats the same
 //! predicate intervals. [`QueryPlan::compile`] walks the batch once and
@@ -63,8 +72,8 @@ pub(crate) fn check_release_metadata(schema: &Schema, transform: &HnTransform) -
 }
 
 /// A batch of range-count queries compiled against one release's schema
-/// and transform, ready to execute against any coefficient matrix of the
-/// matching shape.
+/// and transform, ready to execute against the storage of any release
+/// core built under that transform.
 ///
 /// Interning happens at two levels: repeated *whole queries* share one
 /// term list and are evaluated once per execution (their answer fans
@@ -72,8 +81,11 @@ pub(crate) fn check_release_metadata(schema: &Schema, transform: &HnTransform) -
 /// share the interned support.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
-    /// Coefficient dims the plan was compiled for (execution validates).
-    coeff_dims: Vec<usize>,
+    /// The per-axis transforms the plan was compiled for: its supports
+    /// index their storage, so execution refuses any other release —
+    /// shape alone would let a Haar plan read a Privelet⁺ identity
+    /// release of the same shape.
+    transforms: Vec<DimTransform>,
     /// Arena of pooled supports: every support's stride-premultiplied
     /// offsets, concatenated exactly as derived ([`DimSupport::offsets`]).
     ///
@@ -105,7 +117,7 @@ pub struct QueryPlan {
     /// float — it is pure memory locality.
     exec_order: Vec<u32>,
     ndim: usize,
-    /// Coefficient reads per distinct query (`∏ᵢ |supportᵢ|`), for the
+    /// Storage reads per distinct query (`∏ᵢ |supportᵢ|`), for the
     /// cost accounting below.
     distinct_reads: Vec<usize>,
     /// Per distinct query: the product of its dimensions' variance
@@ -136,8 +148,7 @@ impl QueryPlan {
     ) -> Result<QueryPlan> {
         check_release_metadata(schema, transform)?;
         let ndim = schema.arity();
-        let coeff_dims = transform.output_dims();
-        let strides = Shape::new(&coeff_dims)
+        let strides = Shape::new(&transform.output_dims())
             .map_err(|_| QueryError::ShapeMismatch)?
             .strides()
             .to_vec();
@@ -209,7 +220,7 @@ impl QueryPlan {
         exec_order.sort_by_key(|&qid| (spans[terms[qid as usize * ndim] as usize].0, qid));
 
         Ok(QueryPlan {
-            coeff_dims,
+            transforms: transform.transforms().to_vec(),
             offsets,
             weights,
             spans,
@@ -224,16 +235,22 @@ impl QueryPlan {
         })
     }
 
-    /// Executes the plan against a (refined) coefficient matrix,
+    /// Executes the plan against the answer-ready storage a release
+    /// core built under `transform`
+    /// ([`ReleaseCore::execute_plan`](crate::ReleaseCore::execute_plan)),
     /// returning one answer per compiled query. Each **distinct**
     /// query's sparse dot runs once; repeated queries fan the memoized
     /// answer out in input order. Allocates the returned vector and one
     /// `O(distinct queries)` scratch vector.
-    pub fn execute(&self, coeffs: &NdMatrix) -> Result<Vec<f64>> {
-        if coeffs.dims() != self.coeff_dims {
+    ///
+    /// Errors with [`QueryError::ShapeMismatch`] unless `transform` is
+    /// the one the plan was compiled for.
+    pub(crate) fn execute(&self, transform: &HnTransform, storage: &NdMatrix) -> Result<Vec<f64>> {
+        if transform.transforms() != self.transforms.as_slice() {
             return Err(QueryError::ShapeMismatch);
         }
-        let data = coeffs.as_slice();
+        debug_assert_eq!(storage.dims(), transform.output_dims());
+        let data = storage.as_slice();
         // Distinct dots run in the locality schedule computed at compile
         // time and land by id, so the fan-out below (and every float)
         // is independent of the schedule.
@@ -261,12 +278,13 @@ impl QueryPlan {
     /// sparse dots as `execute` (bit-identical values) plus one
     /// multiply-and-sqrt per **distinct** query — zero additional support
     /// derivations, by construction.
-    pub fn execute_annotated(
+    pub(crate) fn execute_annotated(
         &self,
-        coeffs: &NdMatrix,
+        transform: &HnTransform,
+        storage: &NdMatrix,
         meta: &PrivacyMeta,
     ) -> Result<Vec<AnnotatedAnswer>> {
-        let values = self.execute(coeffs)?;
+        let values = self.execute(transform, storage)?;
         let distinct_stds: Vec<f64> = self
             .distinct_factors
             .iter()
@@ -327,13 +345,13 @@ impl QueryPlan {
         }
     }
 
-    /// Total coefficient reads one execution performs: `Σ ∏ᵢ |supportᵢ|`
+    /// Total storage reads one execution performs: `Σ ∏ᵢ |supportᵢ|`
     /// over the **distinct** queries (repeats reuse the memoized dot).
     pub fn total_reads(&self) -> usize {
         self.distinct_reads.iter().sum()
     }
 
-    /// Mean coefficient reads per query under the per-query cost model
+    /// Mean storage reads per query under the per-query cost model
     /// (`∏ᵢ |supportᵢ|` averaged over **all** input queries, before
     /// whole-query dedup; 0.0 for an empty plan).
     pub fn mean_support(&self) -> f64 {
@@ -349,6 +367,7 @@ impl QueryPlan {
 mod tests {
     use super::*;
     use crate::predicate::Predicate;
+    use crate::ReleaseCore;
     use privelet_data::medical::medical_example;
     use privelet_data::schema::{Attribute, Schema};
     use privelet_data::FrequencyMatrix;
@@ -387,10 +406,24 @@ mod tests {
         assert!(plan.mean_support() >= 1.0);
     }
 
+    /// A release core over the exact coefficients of `fm`.
+    fn exact_core(fm: &FrequencyMatrix, hn: &HnTransform) -> ReleaseCore {
+        let coeffs = hn.forward(fm.matrix()).unwrap();
+        ReleaseCore::new(fm.schema().clone(), hn.clone(), &coeffs).unwrap()
+    }
+
+    /// A release core of another shape than the medical one (one
+    /// ordinal axis of 3, padded to 4 coefficients).
+    fn other_shaped_core() -> ReleaseCore {
+        let other = Schema::new(vec![Attribute::ordinal("x", 3)]).unwrap();
+        let other_hn = HnTransform::for_schema(&other, &BTreeSet::new()).unwrap();
+        ReleaseCore::new(other, other_hn, &NdMatrix::zeros(&[4]).unwrap()).unwrap()
+    }
+
     #[test]
     fn executes_to_exact_answers() {
         let (fm, hn) = medical();
-        let coeffs = hn.forward(fm.matrix()).unwrap();
+        let core = exact_core(&fm, &hn);
         let h = fm.schema().attr(1).domain().hierarchy().unwrap().clone();
         let queries = vec![
             RangeQuery::all(2),
@@ -403,7 +436,7 @@ mod tests {
             ]),
         ];
         let plan = QueryPlan::compile(fm.schema(), &hn, &queries).unwrap();
-        let got = plan.execute(&coeffs).unwrap();
+        let got = core.execute_plan(&plan).unwrap();
         for (q, a) in queries.iter().zip(&got) {
             let want = exact(&fm, q);
             assert!((a - want).abs() < 1e-9, "{a} vs {want}");
@@ -417,12 +450,13 @@ mod tests {
         let (fm, hn) = medical();
         let coeffs = hn.forward(fm.matrix()).unwrap();
         let meta = PrivacyMeta::for_transform(&hn, 1.0).unwrap();
+        let core = ReleaseCore::with_meta(fm.schema().clone(), hn.clone(), &coeffs, meta).unwrap();
         let q1 = RangeQuery::new(vec![Predicate::Range { lo: 0, hi: 2 }, Predicate::All]);
         let queries = vec![RangeQuery::all(2), q1.clone(), q1.clone()];
         let plan = QueryPlan::compile(fm.schema(), &hn, &queries).unwrap();
 
-        let plain = plan.execute(&coeffs).unwrap();
-        let annotated = plan.execute_annotated(&coeffs, &meta).unwrap();
+        let plain = core.execute_plan(&plan).unwrap();
+        let annotated = core.execute_plan_with_error(&plan).unwrap();
         assert_eq!(annotated.len(), plain.len());
         for (i, (a, &v)) in annotated.iter().zip(&plain).enumerate() {
             // Identical dots: the annotation never perturbs the value.
@@ -443,7 +477,7 @@ mod tests {
 
         // Empty plans annotate to an empty batch.
         let empty = QueryPlan::compile(fm.schema(), &hn, &[]).unwrap();
-        assert_eq!(empty.execute_annotated(&coeffs, &meta).unwrap(), vec![]);
+        assert_eq!(core.execute_plan_with_error(&empty).unwrap(), vec![]);
     }
 
     #[test]
@@ -488,17 +522,39 @@ mod tests {
     }
 
     #[test]
+    fn refuses_a_release_of_another_transform_with_the_same_shape() {
+        // One power-of-two ordinal axis: Haar and Privelet⁺'s identity
+        // both store 8 values, but a Haar support read against identity
+        // prefix sums answers something else entirely.
+        let schema = Schema::new(vec![Attribute::ordinal("v", 8)]).unwrap();
+        let haar = HnTransform::for_schema(&schema, &BTreeSet::new()).unwrap();
+        let identity = HnTransform::for_schema(&schema, &BTreeSet::from([0])).unwrap();
+        let coeffs = NdMatrix::from_vec(&[8], (0..8).map(f64::from).collect()).unwrap();
+        let core = ReleaseCore::new(schema.clone(), identity, &coeffs).unwrap();
+        let q = [RangeQuery::new(vec![Predicate::Range { lo: 2, hi: 5 }])];
+        let plan = QueryPlan::compile(&schema, &haar, &q).unwrap();
+        assert_eq!(
+            core.execute_plan(&plan).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
+        assert_eq!(
+            core.execute_plan(&core.plan(&q).unwrap()).unwrap(),
+            vec![14.0]
+        );
+    }
+
+    #[test]
     fn empty_plan_is_well_defined() {
         // Regression: every diagnostic that divides by the query or
         // request count must return a well-defined 0-value on an empty
         // workload instead of NaN/∞ — serving tiers feed these straight
         // into reports.
         let (fm, hn) = medical();
-        let coeffs = hn.forward(fm.matrix()).unwrap();
+        let core = exact_core(&fm, &hn);
         let plan = QueryPlan::compile(fm.schema(), &hn, &[]).unwrap();
         assert!(plan.is_empty());
         assert_eq!(plan.len(), 0);
-        assert_eq!(plan.execute(&coeffs).unwrap(), Vec::<f64>::new());
+        assert_eq!(core.execute_plan(&plan).unwrap(), Vec::<f64>::new());
         assert_eq!(plan.support_requests(), 0);
         assert_eq!(plan.distinct_supports(), 0);
         assert_eq!(plan.distinct_queries(), 0);
@@ -508,9 +564,11 @@ mod tests {
         assert!(plan.dedup_ratio().is_finite());
         assert_eq!(plan.mean_support(), 0.0);
         assert!(plan.mean_support().is_finite());
-        // An empty plan still validates the coefficient shape.
-        let wrong = NdMatrix::zeros(&[2, 2]).unwrap();
-        assert_eq!(plan.execute(&wrong).unwrap_err(), QueryError::ShapeMismatch);
+        // An empty plan still validates the storage shape.
+        assert_eq!(
+            other_shaped_core().execute_plan(&plan).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
     }
 
     #[test]
@@ -534,9 +592,11 @@ mod tests {
             QueryPlan::compile(fm.schema(), &other_hn, &[]).unwrap_err(),
             QueryError::ShapeMismatch
         );
-        // Executing against wrongly shaped coefficients.
+        // Executing against a release of another shape.
         let plan = QueryPlan::compile(fm.schema(), &hn, &[RangeQuery::all(2)]).unwrap();
-        let wrong = NdMatrix::zeros(&[4, 3]).unwrap();
-        assert_eq!(plan.execute(&wrong).unwrap_err(), QueryError::ShapeMismatch);
+        assert_eq!(
+            other_shaped_core().execute_plan(&plan).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
     }
 }

@@ -1,12 +1,24 @@
 //! The immutable core of a coefficient-domain release: everything a
 //! serving thread needs to answer queries, and nothing that mutates.
 //!
-//! [`ReleaseCore`] holds the schema, the transform and the **refined**
-//! noisy coefficients of one published release. Construction performs
-//! the one-time work (metadata validation, the §V-B refinement pass, the
-//! total-count query); after that every method takes `&self` and touches
-//! only immutable state, so the core is `Send + Sync` by construction
-//! and is meant to live inside an [`Arc`] shared across serving threads.
+//! [`ReleaseCore`] holds the schema, the transform and the
+//! **answer-ready storage** of one published release: the noisy
+//! coefficients with each axis mapped into the domain its queries read
+//! ([`HnTransform::build_storage`]). Haar axes keep their coefficients
+//! (O(log m) reads per range); identity axes hold inclusive prefix sums
+//! (at most 2 reads); nominal axes hold per-node subtree sums of the
+//! §V-B-refined coefficients (1 read per maximal covered subtree, so 1
+//! for a `Node` predicate or `All`). Construction performs the one-time
+//! work (metadata validation, the storage build, the total-count query);
+//! after that every method takes `&self` and touches only immutable
+//! state, so the core is `Send + Sync` by construction and is meant to
+//! live inside an [`Arc`] shared across serving threads.
+//!
+//! Storage is a pure function of the coefficients and the transform, so
+//! a support derived for one epoch is valid for every epoch of the same
+//! transform. The storage is the only copy: it replaces the coefficient
+//! matrix rather than sitting next to it, and plans execute against it
+//! only through [`ReleaseCore::execute_plan`].
 //!
 //! The serving engine layers on top: [`ConcurrentEngine`] pairs one
 //! `Arc`'d core with a hash-sharded support cache. Its answers are
@@ -33,18 +45,18 @@ use privelet_matrix::NdMatrix;
 use std::sync::Arc;
 
 /// The immutable, shareable core of one coefficient-domain release:
-/// schema + transform + refined coefficients (+ cached strides, the
+/// schema + transform + answer-ready storage (+ cached strides, the
 /// noisy total, and the release's [`PrivacyMeta`] when it came from a
-/// publisher). See the [module docs](self) for how the serving engine
-/// layers on top.
+/// publisher). See the [module docs](self) for the storage layout and
+/// how the serving engine layers on top.
 #[derive(Debug, Clone)]
 pub struct ReleaseCore {
     schema: Schema,
     transform: HnTransform,
-    /// Refined coefficients (mean subtraction already applied on nominal
-    /// axes), so every answer is a pure dot product.
-    coeffs: NdMatrix,
-    /// Row-major strides of `coeffs`, cached for support derivation.
+    /// The answer-ready storage ([`HnTransform::build_storage`]), so
+    /// every answer is a sparse dot of a few reads per dimension.
+    storage: NdMatrix,
+    /// Row-major strides of `storage`, cached for support derivation.
     strides: Vec<usize>,
     /// The (noisy) total count — the unconstrained query's answer,
     /// computed once at construction.
@@ -62,10 +74,10 @@ impl ReleaseCore {
     /// metadata, without privacy accounting (error-annotated answering
     /// will return [`QueryError::MissingPrivacyMeta`]; use
     /// [`with_meta`](Self::with_meta) or
-    /// [`from_output`](Self::from_output) to carry it). Applies the
-    /// refinement once (O(m'); idempotent, so exact or already-refined
-    /// coefficients pass through unchanged) and answers the unconstrained
-    /// query once for [`total`](Self::total).
+    /// [`from_output`](Self::from_output) to carry it). Builds the
+    /// answer-ready storage once (O(m'), from exact or noisy
+    /// coefficients — never from a storage matrix) and answers the
+    /// unconstrained query once for [`total`](Self::total).
     ///
     /// Errors with [`QueryError::ShapeMismatch`] when the schema, the
     /// transform and the coefficient matrix do not describe the same
@@ -96,14 +108,12 @@ impl ReleaseCore {
         if noisy.dims() != transform.output_dims() {
             return Err(QueryError::ShapeMismatch);
         }
-        let coeffs = transform
-            .refine_coefficients(noisy)
-            .map_err(QueryError::from)?;
-        let strides = coeffs.shape().strides().to_vec();
+        let storage = transform.build_storage(noisy).map_err(QueryError::from)?;
+        let strides = storage.shape().strides().to_vec();
         let mut core = ReleaseCore {
             schema,
             transform,
-            coeffs,
+            storage,
             strides,
             total: 0.0,
             meta,
@@ -124,7 +134,7 @@ impl ReleaseCore {
     /// Rolls this core to a new epoch of the *same* release series: a
     /// fresh [`CoefficientOutput`] (e.g. from
     /// `IncrementalRelease::advance_epoch` in `privelet`) published under
-    /// this core's transform, rebuilt (refinement + total) into a new
+    /// this core's transform, rebuilt (storage + total) into a new
     /// immutable core.
     ///
     /// The lineage rule is "same transform": errors with
@@ -138,10 +148,10 @@ impl ReleaseCore {
     /// in-flight reads).
     ///
     /// Cache note: per-dimension supports are pure functions of
-    /// `(dim, lo, hi)` and the transform, and the transform is pinned by
-    /// the lineage rule — so support caches **survive** an epoch advance
-    /// untouched. Only coefficient state (this core's refined matrix and
-    /// noisy total) rolls.
+    /// `(dim, lo, hi)` and the transform (the storage layout is too),
+    /// and the transform is pinned by the lineage rule — so support
+    /// caches and compiled plans **survive** an epoch advance untouched.
+    /// Only this core's storage and noisy total roll.
     pub fn advance_epoch(&self, out: &CoefficientOutput) -> Result<Self> {
         if out.transform != self.transform {
             return Err(QueryError::ShapeMismatch);
@@ -164,9 +174,14 @@ impl ReleaseCore {
         &self.transform
     }
 
-    /// The refined coefficient matrix answers are dotted against.
-    pub fn coefficients(&self) -> &NdMatrix {
-        &self.coeffs
+    /// The answer-ready storage answers are dotted against: the
+    /// coefficient matrix's shape, each axis in its storage domain —
+    /// coefficients on Haar axes, inclusive prefix sums on identity axes,
+    /// level-order subtree sums of the refined coefficients on nominal
+    /// axes (see the [module docs](self)). It is not a coefficient
+    /// matrix: inverting it reconstructs nothing.
+    pub fn storage(&self) -> &NdMatrix {
+        &self.storage
     }
 
     /// The (noisy) total count — the unconstrained query's answer.
@@ -180,10 +195,10 @@ impl ReleaseCore {
     }
 
     /// Derives one dimension's sparse support, uncached: the
-    /// stride-premultiplied offsets and weights of the interval-sum
-    /// functional over `[lo, hi]` on dimension `dim`, plus the
-    /// per-dimension variance factor (an O(|support|) fold piggybacking
-    /// on the derivation — no second derivation, so cached supports carry
+    /// stride-premultiplied storage offsets and weights of the
+    /// interval-sum functional over `[lo, hi]` on dimension `dim`, plus
+    /// the per-dimension variance factor (folded over the transform's
+    /// coefficient support at derivation time, so cached supports carry
     /// their error accounting for free). This is the derivation every
     /// cache memoizes and every plan interns; it is pure, so two threads
     /// deriving the same triple produce identical supports.
@@ -217,11 +232,11 @@ impl ReleaseCore {
     }
 
     /// The sparse tensor-product dot of already-derived per-dimension
-    /// supports against the refined coefficients:
-    /// `Σ ∏ᵢ wᵢ[kᵢ] · C[k₁,…,k_d]`, reading `∏ᵢ |supportᵢ|` coefficients.
-    /// The same walk plan execution runs (`kernel::tensor_dot`).
+    /// supports against the storage: `Σ ∏ᵢ wᵢ[kᵢ] · S[k₁,…,k_d]`,
+    /// reading `∏ᵢ |supportᵢ|` stored values. The same walk plan
+    /// execution runs (`kernel::tensor_dot`).
     pub fn dot(&self, supports: &[SharedSupport]) -> f64 {
-        crate::kernel::tensor_dot(self.coeffs.as_slice(), supports.len(), &|d| {
+        crate::kernel::tensor_dot(self.storage.as_slice(), supports.len(), &|d| {
             (&supports[d].offsets[..], &supports[d].weights[..])
         })
     }
@@ -250,12 +265,16 @@ impl ReleaseCore {
         QueryPlan::compile(&self.schema, &self.transform, queries)
     }
 
-    /// Executes a compiled plan against the refined coefficients. Takes
-    /// `&self` and allocates only the output vector, so any number of
-    /// threads can execute the same plan against the same core
-    /// concurrently.
+    /// Executes a compiled plan against the storage — the one way to
+    /// run a plan. Takes `&self` and allocates only the output vector,
+    /// so any number of threads can execute the same plan against the
+    /// same core concurrently.
+    ///
+    /// Errors with [`QueryError::ShapeMismatch`] when the plan was
+    /// compiled under another transform (and so for other storage, even
+    /// at the same shape).
     pub fn execute_plan(&self, plan: &QueryPlan) -> Result<Vec<f64>> {
-        plan.execute(&self.coeffs)
+        plan.execute(&self.transform, &self.storage)
     }
 
     /// [`execute_plan`](Self::execute_plan) with error accounting: one
@@ -269,7 +288,7 @@ impl ReleaseCore {
     /// built without accounting.
     pub fn execute_plan_with_error(&self, plan: &QueryPlan) -> Result<Vec<AnnotatedAnswer>> {
         let meta = self.meta.as_ref().ok_or(QueryError::MissingPrivacyMeta)?;
-        plan.execute_annotated(&self.coeffs, meta)
+        plan.execute_annotated(&self.transform, &self.storage, meta)
     }
 }
 

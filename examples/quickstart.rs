@@ -86,8 +86,9 @@ fn main() {
 
     // Serve-from-coefficients: publish the noisy coefficient matrix
     // instead of inverting it, and answer the query as a sparse dot
-    // against the coefficients — per-query cost O(log m) per dimension,
-    // no O(m) reconstruction in the serving path. Same seed ⇒ the same
+    // against the release's answer-ready storage (Haar coefficients,
+    // nominal subtree sums) — O(log m) reads on the Haar dimension, one
+    // on the nominal one, no O(m) reconstruction in the serving path. Same seed ⇒ the same
     // noise stream as the Privelet publish above, so the answer matches
     // the inverse-transform path to floating-point rounding.
     let release = publish_coefficients(&fm, &PriveletConfig::pure(epsilon, 2024))
@@ -99,7 +100,7 @@ fn main() {
     );
     let (coeff_answer, support) = engine.answer_with_support(&query).unwrap();
     println!(
-        "  coefficient-domain answer = {coeff_answer:+.2} (reads {support} of {} coefficients)",
+        "  coefficient-domain answer = {coeff_answer:+.2} (reads {support} of {} stored values)",
         release.coefficient_count()
     );
     let diff = (coeff_answer - query.evaluate(&out.matrix).unwrap()).abs();
@@ -170,8 +171,8 @@ fn main() {
     );
     let cache = engine.cache_stats();
     println!(
-        "  engine: {} coefficients held, online cache {} hits / {} misses",
-        engine.core().coefficients().len(),
+        "  engine: {} stored values held, online cache {} hits / {} misses",
+        engine.core().storage().len(),
         cache.hits,
         cache.misses
     );

@@ -43,9 +43,9 @@ proptest! {
         prop_assert!(plan.distinct_supports() < plan.support_requests());
         prop_assert!(plan.dedup_ratio() > 0.0);
 
-        let batch = plan.execute(&coeffs).unwrap();
-        let core = ReleaseCore::new(schema.clone(), hn, &coeffs).unwrap();
-        let coeff = ConcurrentEngine::new(Arc::new(core));
+        let core = Arc::new(ReleaseCore::new(schema.clone(), hn, &coeffs).unwrap());
+        let batch = core.execute_plan(&plan).unwrap();
+        let coeff = ConcurrentEngine::new(core);
         let dense = Answerer::new(fm.schema().clone(), fm.matrix()).unwrap();
         for (q, &got) in queries.iter().zip(&batch) {
             let one = coeff.answer(q).unwrap();
